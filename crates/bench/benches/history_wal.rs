@@ -47,7 +47,7 @@ fn bench_history(c: &mut Criterion) {
             acc
         })
     });
-    group.bench_function("gc_with_lazy_trim", |b| {
+    group.bench_function("gc_then_record", |b| {
         b.iter_batched(
             || {
                 let mut h = HistoryStore::new(64);

@@ -219,11 +219,15 @@ impl Registry {
         }
     }
 
-    /// Walk the list looking for `name`; the list is append-only so a
-    /// node seen once stays valid for the registry's lifetime.
-    fn find(&self, name: &str) -> Option<Metric> {
-        let mut cur = self.head.load(Ordering::Acquire);
-        while !cur.is_null() {
+    /// Search the nodes from `from` up to (not including) `until` for
+    /// `name`; the list is append-only so a node seen once stays valid
+    /// for the registry's lifetime.
+    fn find_between(from: *mut Node, until: *mut Node, name: &str) -> Option<Metric> {
+        let mut cur = from;
+        while cur != until {
+            // SAFETY: `cur` came from `head` or a published `next`, is
+            // not `until` (the tail is null), and nodes are freed only
+            // in `Drop`.
             let node = unsafe { &*cur };
             if node.name == name {
                 return Some(node.metric.clone());
@@ -239,10 +243,15 @@ impl Registry {
             metric: fresh,
             next: AtomicPtr::new(std::ptr::null_mut()),
         });
+        // One snapshot of `head` serves both the search and the CAS: a
+        // same-name node pushed after the search fails the CAS, so a
+        // racing registration of one name wins exactly once. Nodes from
+        // `searched` to the tail are known not to carry `name`; a retry
+        // walks only the prefix pushed since.
+        let mut head = self.head.load(Ordering::Acquire);
+        let mut searched: *mut Node = std::ptr::null_mut();
         loop {
-            // Re-walk from the current head every attempt: a racing
-            // registration of the same name must win exactly once.
-            if let Some(existing) = self.find(name) {
+            if let Some(existing) = Self::find_between(head, searched, name) {
                 if existing.kind() != node.metric.kind() {
                     panic!(
                         "metric {name:?} already registered as a {}, requested as a {}",
@@ -252,17 +261,26 @@ impl Registry {
                 }
                 return existing;
             }
-            let head = self.head.load(Ordering::Acquire);
+            searched = head;
+            #[cfg(test)]
+            tests::before_cas();
             node.next.store(head, Ordering::Relaxed);
             let raw = Box::into_raw(node);
             match self
                 .head
                 .compare_exchange(head, raw, Ordering::AcqRel, Ordering::Acquire)
             {
+                // SAFETY: `raw` is the node just published; it lives
+                // until `Drop`.
                 Ok(_) => return unsafe { (*raw).metric.clone() },
                 // Someone else pushed first — reclaim our allocation
-                // and retry (they may have registered our name).
-                Err(_) => node = unsafe { Box::from_raw(raw) },
+                // and search what they pushed (it may be our name).
+                Err(now) => {
+                    // SAFETY: the CAS failed, so `raw` was never
+                    // published and is still uniquely ours.
+                    node = unsafe { Box::from_raw(raw) };
+                    head = now;
+                }
             }
         }
     }
@@ -704,6 +722,57 @@ mod tests {
             vec![
                 ("core.epochs".into(), MetricValue::Counter(3)),
                 ("core.threshold".into(), MetricValue::Gauge(42)),
+            ]
+        );
+    }
+
+    thread_local! {
+        /// Runs once on this thread between `register`'s search and its
+        /// CAS, so a test can place another thread's push in that gap.
+        static BEFORE_CAS: std::cell::RefCell<Option<Box<dyn FnOnce()>>> =
+            const { std::cell::RefCell::new(None) };
+    }
+
+    pub(super) fn before_cas() {
+        if let Some(hook) = BEFORE_CAS.with(|h| h.borrow_mut().take()) {
+            hook();
+        }
+    }
+
+    /// The tier-1 flake, forced: thread A has searched for the name and
+    /// found nothing; thread B registers it; A then pushes. A must see
+    /// B's node instead of publishing a second one under the same name.
+    #[test]
+    fn same_name_pushed_between_search_and_cas_is_found() {
+        use std::sync::mpsc::channel;
+        let r = Arc::new(Registry::new());
+        r.counter("older"); // a non-empty suffix A has already searched
+        let (searched_tx, searched_rx) = channel();
+        let (pushed_tx, pushed_rx) = channel::<()>();
+        let a = {
+            let r = Arc::clone(&r);
+            std::thread::spawn(move || {
+                BEFORE_CAS.with(|h| {
+                    *h.borrow_mut() = Some(Box::new(move || {
+                        searched_tx.send(()).unwrap();
+                        pushed_rx.recv().unwrap();
+                    }));
+                });
+                r.counter("raced")
+            })
+        };
+        searched_rx.recv().unwrap();
+        let b = r.counter("raced");
+        pushed_tx.send(()).unwrap();
+        let a = a.join().unwrap();
+        assert!(Arc::ptr_eq(&a, &b), "two nodes carry one name");
+        a.fetch_add(1, Ordering::Relaxed);
+        b.fetch_add(1, Ordering::Relaxed);
+        assert_eq!(
+            r.snapshot(),
+            vec![
+                ("older".into(), MetricValue::Counter(0)),
+                ("raced".into(), MetricValue::Counter(2)),
             ]
         );
     }

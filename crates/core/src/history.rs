@@ -7,135 +7,205 @@
 //! and `get_parent(version, v)` answer point-in-time queries, and
 //! `get_modified_vertices(version)` lists what a version changed.
 //!
-//! Our per-vertex chains are append-ordered vectors of
-//! `(version, value, parent)` entries — semantically the paper's version
-//! chains, with binary search instead of pointer chasing. Garbage
-//! collection follows §5: a watermark derived from every session's
-//! released versions makes older snapshots unreadable immediately
-//! (sparse arrays are recycled eagerly), while per-vertex chains are
-//! trimmed lazily on the vertex's next write.
+//! # Layout: one segmented undo log
+//!
+//! Both of the paper's structures live in one append-only log of
+//! fixed-size segments ([`SEGMENT_ENTRIES`] entries each). Recording a
+//! version appends one [`UndoEntry`] per changed vertex — `(vertex,
+//! version, old value, old parent, index of this vertex's previous
+//! entry)` — and stores the new entry's index in the per-vertex *head*
+//! table (8 B per vertex). The `prev` links are the paper's
+//! new-to-old list; a version's entries are contiguous, so a
+//! `(version → first entry, count)` row per recording version is its
+//! sparse array. An entry is never written again once appended: no
+//! allocation per version, no search, no memmove.
+//!
+//! **Why undo (old) values.** The newest state of every vertex is
+//! already in the engine's tree, so the log only has to say what a
+//! change *overwrote*. One entry per change then suffices (a redo log
+//! needs a baseline entry on a vertex's first change as well), and an
+//! entry of version `x` serves exactly the reads at versions `< x`,
+//! which makes death monotone in log order: once the watermark passes
+//! `x`, that entry and everything before it is garbage.
+//!
+//! **The `current` contract.** [`HistoryStore::value_at`] and
+//! [`HistoryStore::parent_at`] take the vertex's *live* value and
+//! return it whenever no recorded change is newer than the queried
+//! version. Callers read it from the engine under the read side of the
+//! gate that the unsafe phase holds exclusively across apply + `record`
+//! (`Session::get_value`, `Replica::get_value`), so the live value and
+//! the log are always one consistent cut.
+//!
+//! **Read cost** is the number of changes to `v` after the queried
+//! version (the paper's newest-to-oldest walk): one probe for a vertex
+//! unchanged since then, short for the recent versions the API hands
+//! out, and bounded by the resident window for any readable version.
+//!
+//! **GC** follows §5's released-version watermark. `collect(w)` drops
+//! the index rows of versions `< w` and every whole segment whose
+//! entries are all older than `w`; nothing is deferred to the next
+//! write. Granularity is one segment: up to `SEGMENT_ENTRIES - 1` dead
+//! entries stay resident at the front of the log until their segment's
+//! last entry dies too.
 
-use risgraph_common::hash::FxHashMap;
-use risgraph_common::ids::{Edge, VersionId, VertexId};
+use std::collections::VecDeque;
+
+use risgraph_common::ids::{Edge, VersionId, VertexId, Weight};
 use risgraph_common::{Error, Result};
 
 use crate::engine::ChangeRecord;
 use crate::tree::Value;
 
-/// One chain entry: the state of a vertex as of `version` (inclusive).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ChainEntry {
+/// Entries per log segment — the allocation and GC granule.
+pub const SEGMENT_ENTRIES: usize = 4096;
+
+/// "No previous entry" / "no parent".
+const NIL: u64 = u64::MAX;
+
+/// What one change overwrote: the state of `vertex` at every version
+/// from its previous change up to `version - 1`.
+#[derive(Debug, Clone, Copy)]
+struct UndoEntry {
+    vertex: VertexId,
     version: VersionId,
-    value: Value,
-    parent: Option<Edge>,
+    old: Value,
+    /// Source of the old parent edge `(src → vertex)`, [`NIL`] if none.
+    old_parent_src: VertexId,
+    old_parent_data: Weight,
+    /// Log index of this vertex's previous (older) entry, or [`NIL`].
+    prev: u64,
+}
+
+impl UndoEntry {
+    fn old_parent(&self) -> Option<Edge> {
+        (self.old_parent_src != NIL)
+            .then(|| Edge::new(self.old_parent_src, self.vertex, self.old_parent_data))
+    }
+}
+
+/// The entries of one recording version: `count` from log index `first`.
+#[derive(Debug, Clone, Copy)]
+struct VersionRow {
+    version: VersionId,
+    first: u64,
+    count: u32,
 }
 
 /// Versioned history for one algorithm.
 pub struct HistoryStore {
-    chains: Vec<Vec<ChainEntry>>,
-    /// `version → modified vertex ids` (the per-version sparse arrays).
-    modified: FxHashMap<VersionId, Vec<VertexId>>,
+    /// The log; segment `i` holds indices `base + i * SEGMENT_ENTRIES ..`.
+    /// Every segment but the last is full.
+    segments: VecDeque<Vec<UndoEntry>>,
+    /// Log index of `segments[0][0]`; indices below it were dropped.
+    base: u64,
+    /// Log index of the next entry to append.
+    next: u64,
+    /// Per vertex: log index of its newest entry, or [`NIL`].
+    heads: Vec<u64>,
+    /// Recording versions `>= low_watermark`, ascending.
+    versions: VecDeque<VersionRow>,
     /// Versions `< low_watermark` are garbage (unreadable).
     low_watermark: VersionId,
-    /// Count of chain entries, for memory accounting.
-    entries: usize,
 }
 
 impl HistoryStore {
     /// An empty history over `capacity` vertices.
     pub fn new(capacity: usize) -> Self {
         HistoryStore {
-            chains: vec![Vec::new(); capacity],
-            modified: FxHashMap::default(),
+            segments: VecDeque::new(),
+            base: 0,
+            next: 0,
+            heads: vec![NIL; capacity],
+            versions: VecDeque::new(),
             low_watermark: 0,
-            entries: 0,
         }
     }
 
     /// Grow the vertex range.
     pub fn ensure_capacity(&mut self, n: usize) {
-        if n > self.chains.len() {
-            self.chains
-                .resize(n.next_power_of_two().max(16), Vec::new());
+        if n > self.heads.len() {
+            self.heads.resize(n.next_power_of_two().max(16), NIL);
         }
     }
 
-    /// Record the changes of `version`. Chains get a baseline entry on
-    /// first touch so pre-change queries stay answerable, and are
-    /// lazily trimmed to the GC watermark (§5's lazy chain GC).
+    /// The resident entry at log index `idx`, `None` if it was dropped
+    /// (or `idx` is [`NIL`]).
+    #[inline]
+    fn entry(&self, idx: u64) -> Option<&UndoEntry> {
+        // One compare covers NIL, dropped and resident indices alike.
+        let rel = idx.wrapping_sub(self.base);
+        if rel >= self.next - self.base {
+            return None;
+        }
+        let rel = rel as usize;
+        Some(&self.segments[rel / SEGMENT_ENTRIES][rel % SEGMENT_ENTRIES])
+    }
+
+    /// Record the changes of `version` (newer than every recorded one):
+    /// one sequential append and one head store per change.
     pub fn record(&mut self, version: VersionId, changes: &[ChangeRecord]) {
         if changes.is_empty() {
             return;
         }
-        let mut modified = Vec::with_capacity(changes.len());
+        debug_assert!(self.versions.back().is_none_or(|r| r.version < version));
+        let first = self.next;
         for c in changes {
             self.ensure_capacity(c.vertex as usize + 1);
-            let chain = &mut self.chains[c.vertex as usize];
-            // Lazy GC: drop entries superseded before the watermark,
-            // keeping the newest one at/below it as the new baseline.
-            if self.low_watermark > 0 && chain.len() > 1 {
-                let keep_from = chain
-                    .partition_point(|e| e.version < self.low_watermark)
-                    .saturating_sub(1);
-                if keep_from > 0 {
-                    chain.drain(..keep_from);
-                    self.entries -= keep_from;
-                }
+            // `base` is a segment start and every segment but the last
+            // is full, so the log ends on a boundary exactly when there
+            // is no segment with room.
+            if (self.next - self.base).is_multiple_of(SEGMENT_ENTRIES as u64) {
+                self.segments.push_back(Vec::with_capacity(SEGMENT_ENTRIES));
             }
-            if chain.is_empty() {
-                // Baseline: the state before this version, effective
-                // since the beginning of readable history.
-                chain.push(ChainEntry {
-                    version: 0,
-                    value: c.old,
-                    parent: c.old_parent,
+            let head = &mut self.heads[c.vertex as usize];
+            let (old_parent_src, old_parent_data) =
+                c.old_parent.map_or((NIL, 0), |e| (e.src, e.data));
+            self.segments
+                .back_mut()
+                .expect("a segment with room was just ensured")
+                .push(UndoEntry {
+                    vertex: c.vertex,
+                    version,
+                    old: c.old,
+                    old_parent_src,
+                    old_parent_data,
+                    prev: *head,
                 });
-                self.entries += 1;
-            }
-            debug_assert!(chain.last().unwrap().version < version);
-            chain.push(ChainEntry {
-                version,
-                value: c.new,
-                parent: c.new_parent,
-            });
-            self.entries += 1;
-            modified.push(c.vertex);
+            *head = self.next;
+            self.next += 1;
         }
-        self.modified.insert(version, modified);
+        self.versions.push_back(VersionRow {
+            version,
+            first,
+            count: u32::try_from(changes.len()).expect("one version changes < 2^32 vertices"),
+        });
     }
 
-    fn lookup(&self, version: VersionId, v: VertexId) -> Result<Option<ChainEntry>> {
+    /// The oldest undo entry of `v` newer than `version`, i.e. the state
+    /// `v` had at `version` if it changed since.
+    fn undo_at(&self, version: VersionId, v: VertexId) -> Result<Option<&UndoEntry>> {
         if version < self.low_watermark {
             return Err(Error::VersionNotFound(version));
         }
-        let Some(chain) = self.chains.get(v as usize) else {
-            return Ok(None);
-        };
-        let idx = chain.partition_point(|e| e.version <= version);
-        Ok(if idx == 0 { None } else { Some(chain[idx - 1]) })
+        let mut found = None;
+        let mut idx = self.heads.get(v as usize).copied().unwrap_or(NIL);
+        // A dropped entry ends the walk like an old one does: dropped
+        // entries are older than the watermark, hence than `version`.
+        while let Some(e) = self.entry(idx) {
+            if e.version <= version {
+                break;
+            }
+            found = Some(e);
+            idx = e.prev;
+        }
+        Ok(found)
     }
 
-    /// Value of `v` as of `version`; `current` supplies the live value
-    /// for vertices whose chain has no entry at/below `version` — which
-    /// only happens when the vertex never changed within readable
-    /// history *after* that point, i.e. its value at `version` equals
-    /// the oldest recorded baseline, or the live value when the chain is
-    /// empty.
+    /// Value of `v` as of `version`. `current` must be `v`'s live value
+    /// (see the module doc); it is the answer when `v` has not changed
+    /// since `version`.
     pub fn value_at(&self, version: VersionId, v: VertexId, current: Value) -> Result<Value> {
-        match self.lookup(version, v)? {
-            Some(e) => Ok(e.value),
-            None => {
-                // No entry ≤ version. If the chain is non-empty its first
-                // entry is the pre-history baseline (version 0), so this
-                // branch means the chain is empty: value never changed.
-                Ok(self
-                    .chains
-                    .get(v as usize)
-                    .and_then(|c| c.first())
-                    .map(|e| e.value)
-                    .unwrap_or(current))
-            }
-        }
+        Ok(self.undo_at(version, v)?.map_or(current, |e| e.old))
     }
 
     /// Dependency-tree parent of `v` as of `version` (`current` as for
@@ -146,36 +216,53 @@ impl HistoryStore {
         v: VertexId,
         current: Option<Edge>,
     ) -> Result<Option<Edge>> {
-        match self.lookup(version, v)? {
-            Some(e) => Ok(e.parent),
-            None => Ok(self
-                .chains
-                .get(v as usize)
-                .and_then(|c| c.first())
-                .map(|e| e.parent)
-                .unwrap_or(current)),
-        }
+        Ok(self
+            .undo_at(version, v)?
+            .map_or(current, UndoEntry::old_parent))
     }
 
     /// Vertices modified by exactly `version` (empty for versions that
-    /// changed nothing, e.g. safe updates).
+    /// changed nothing, e.g. safe updates), in recorded order.
     pub fn modified_vertices(&self, version: VersionId) -> Result<Vec<VertexId>> {
         if version < self.low_watermark {
             return Err(Error::VersionNotFound(version));
         }
-        Ok(self.modified.get(&version).cloned().unwrap_or_default())
+        let at = self.versions.partition_point(|r| r.version < version);
+        Ok(match self.versions.get(at) {
+            Some(row) if row.version == version => (row.first..row.first + row.count as u64)
+                .map(|idx| {
+                    self.entry(idx)
+                        .expect("indexed entries are resident")
+                        .vertex
+                })
+                .collect(),
+            _ => Vec::new(),
+        })
+    }
+
+    /// Log index of the oldest entry a readable version can still need.
+    /// Entries of the watermark version itself serve no value read any
+    /// more but still list what that version modified.
+    fn live_from(&self) -> u64 {
+        self.versions.front().map_or(self.next, |r| r.first)
     }
 
     /// Advance the GC watermark: versions `< watermark` become
-    /// unreadable, their sparse arrays are recycled eagerly (§5:
-    /// "aggressively recycles them from sparse arrays"), chains shrink
-    /// lazily on next write.
+    /// unreadable, their index rows go, and so does every segment whose
+    /// entries are all older than `watermark` (§5: "aggressively
+    /// recycles them"). Cost is proportional to what is dropped.
     pub fn collect(&mut self, watermark: VersionId) {
         if watermark <= self.low_watermark {
             return;
         }
         self.low_watermark = watermark;
-        self.modified.retain(|&v, _| v >= watermark);
+        let dead_rows = self.versions.partition_point(|r| r.version < watermark);
+        self.versions.drain(..dead_rows);
+        let live_from = self.live_from();
+        while self.base + SEGMENT_ENTRIES as u64 <= live_from {
+            self.segments.pop_front();
+            self.base += SEGMENT_ENTRIES as u64;
+        }
     }
 
     /// The current GC watermark.
@@ -183,26 +270,23 @@ impl HistoryStore {
         self.low_watermark
     }
 
-    /// Total chain entries (diagnostics).
+    /// Undo entries a readable version can still need (diagnostics).
     pub fn chain_entries(&self) -> usize {
-        self.entries
+        (self.next - self.live_from()) as usize
     }
 
-    /// Number of versions still holding a memory-resident modification
-    /// list (shrinks eagerly when GC advances the watermark).
+    /// Number of versions still holding an index row (shrinks when GC
+    /// advances the watermark).
     pub fn modified_versions(&self) -> usize {
-        self.modified.len()
+        self.versions.len()
     }
 
-    /// Approximate heap bytes.
+    /// Approximate heap bytes: whole segments, the head table and the
+    /// version index.
     pub fn memory_bytes(&self) -> usize {
-        self.chains.capacity() * std::mem::size_of::<Vec<ChainEntry>>()
-            + self.entries * std::mem::size_of::<ChainEntry>()
-            + self
-                .modified
-                .values()
-                .map(|v| v.capacity() * 8 + 32)
-                .sum::<usize>()
+        self.segments.len() * SEGMENT_ENTRIES * std::mem::size_of::<UndoEntry>()
+            + self.heads.capacity() * std::mem::size_of::<u64>()
+            + self.versions.capacity() * std::mem::size_of::<VersionRow>()
     }
 }
 
@@ -225,14 +309,15 @@ mod tests {
         let mut h = HistoryStore::new(8);
         h.record(5, &[rec(1, 100, 50)]);
         h.record(9, &[rec(1, 50, 25)]);
-        // Before first change: baseline.
-        assert_eq!(h.value_at(1, 1, 999).unwrap(), 100);
-        assert_eq!(h.value_at(4, 1, 999).unwrap(), 100);
+        let live = 25;
+        // Before first change: what the first change overwrote.
+        assert_eq!(h.value_at(1, 1, live).unwrap(), 100);
+        assert_eq!(h.value_at(4, 1, live).unwrap(), 100);
         // At and after each change.
-        assert_eq!(h.value_at(5, 1, 999).unwrap(), 50);
-        assert_eq!(h.value_at(8, 1, 999).unwrap(), 50);
-        assert_eq!(h.value_at(9, 1, 999).unwrap(), 25);
-        assert_eq!(h.value_at(100, 1, 999).unwrap(), 25);
+        assert_eq!(h.value_at(5, 1, live).unwrap(), 50);
+        assert_eq!(h.value_at(8, 1, live).unwrap(), 50);
+        assert_eq!(h.value_at(9, 1, live).unwrap(), 25);
+        assert_eq!(h.value_at(100, 1, live).unwrap(), 25);
     }
 
     #[test]
@@ -246,8 +331,21 @@ mod tests {
     fn parent_history_tracked() {
         let mut h = HistoryStore::new(8);
         h.record(5, &[rec(1, 100, 50)]);
-        assert_eq!(h.parent_at(2, 1, None).unwrap(), None);
-        assert_eq!(h.parent_at(5, 1, None).unwrap(), Some(Edge::new(0, 1, 7)));
+        let live = Some(Edge::new(0, 1, 7));
+        assert_eq!(h.parent_at(2, 1, live).unwrap(), None);
+        assert_eq!(h.parent_at(5, 1, live).unwrap(), live);
+        // An overwritten parent comes back as the edge into the vertex.
+        h.record(
+            6,
+            &[ChangeRecord {
+                vertex: 1,
+                old: 50,
+                new: 40,
+                old_parent: live,
+                new_parent: Some(Edge::new(3, 1, 2)),
+            }],
+        );
+        assert_eq!(h.parent_at(5, 1, Some(Edge::new(3, 1, 2))).unwrap(), live);
     }
 
     #[test]
@@ -267,35 +365,34 @@ mod tests {
         h.record(9, &[rec(1, 50, 25)]);
         h.collect(9);
         assert!(matches!(
-            h.value_at(5, 1, 0),
+            h.value_at(5, 1, 25),
             Err(Error::VersionNotFound(5))
         ));
         assert!(matches!(
             h.modified_vertices(5),
             Err(Error::VersionNotFound(5))
         ));
-        assert_eq!(h.value_at(9, 1, 0).unwrap(), 25);
-        assert_eq!(h.value_at(20, 1, 0).unwrap(), 25);
+        assert_eq!(h.value_at(9, 1, 25).unwrap(), 25);
+        assert_eq!(h.value_at(20, 1, 25).unwrap(), 25);
+        // The watermark version itself keeps its modification list.
+        assert_eq!(h.modified_vertices(9).unwrap(), vec![1]);
     }
 
     #[test]
-    fn lazy_chain_trim_on_next_write() {
+    fn collect_trims_without_waiting_for_a_write() {
         let mut h = HistoryStore::new(8);
         for i in 1..=10u64 {
             h.record(i, &[rec(1, 100 - i + 1, 100 - i)]);
         }
-        let before = h.chain_entries();
+        assert_eq!(h.chain_entries(), 10);
         h.collect(8);
-        // Chains untouched until the vertex is written again.
-        assert_eq!(h.chain_entries(), before);
+        // Versions 8, 9 and 10 are all a reader can still need.
+        assert_eq!(h.chain_entries(), 3);
+        assert_eq!(h.modified_versions(), 3);
         h.record(11, &[rec(1, 90, 89)]);
-        assert!(
-            h.chain_entries() < before,
-            "chain should have been trimmed lazily"
-        );
         // Queries at/after the watermark still correct.
-        assert_eq!(h.value_at(8, 1, 0).unwrap(), 92);
-        assert_eq!(h.value_at(11, 1, 0).unwrap(), 89);
+        assert_eq!(h.value_at(8, 1, 89).unwrap(), 92);
+        assert_eq!(h.value_at(11, 1, 89).unwrap(), 89);
     }
 
     #[test]
@@ -318,7 +415,23 @@ mod tests {
     fn capacity_grows_on_demand() {
         let mut h = HistoryStore::new(1);
         h.record(2, &[rec(1000, 5, 4)]);
-        assert_eq!(h.value_at(2, 1000, 0).unwrap(), 4);
-        assert_eq!(h.value_at(1, 1000, 0).unwrap(), 5);
+        assert_eq!(h.value_at(2, 1000, 4).unwrap(), 4);
+        assert_eq!(h.value_at(1, 1000, 4).unwrap(), 5);
+    }
+
+    #[test]
+    fn whole_dead_segments_are_dropped() {
+        let mut h = HistoryStore::new(4);
+        let one_segment = (SEGMENT_ENTRIES * std::mem::size_of::<UndoEntry>()) as i64;
+        for i in 1..=2 * SEGMENT_ENTRIES as u64 + 1 {
+            h.record(i, &[rec(1, i - 1, i)]);
+        }
+        let before = h.memory_bytes() as i64;
+        // One entry short of the first boundary: nothing can go yet.
+        h.collect(SEGMENT_ENTRIES as u64);
+        assert_eq!(before - h.memory_bytes() as i64, 0);
+        h.collect(SEGMENT_ENTRIES as u64 + 1);
+        assert_eq!(before - h.memory_bytes() as i64, one_segment);
+        assert_eq!(h.chain_entries(), SEGMENT_ENTRIES + 1);
     }
 }

@@ -47,7 +47,9 @@
 //! ([`crate::replication`]). History: every result-changing update records
 //! its per-vertex deltas (serial phase only — safe updates change no
 //! results); GC runs on released-version watermarks every
-//! `gc_interval` (§5: every second).
+//! `gc_interval` (default 100 ms; §5 collects every second, but here a
+//! collection costs only the log segments it drops, so a shorter
+//! cadence just keeps less history resident).
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -100,7 +102,12 @@ pub struct ServerConfig {
     pub wal_path: Option<PathBuf>,
     /// Maintain the history store (versioned snapshots).
     pub enable_history: bool,
-    /// History GC cadence (§5: every second).
+    /// History GC cadence. The paper (§5) collects every second; the
+    /// default here is 100 ms, because [`HistoryStore::collect`] costs
+    /// only the log segments it drops and defers nothing to later
+    /// writes — collecting ten times as often is not more work, it only
+    /// bounds resident history to the release lag plus 100 ms of
+    /// traffic instead of plus 1 s.
     pub gc_interval: Duration,
     /// Opt-in periodic history release (§5 fidelity): every interval,
     /// advance every live session's release floor to the version the
@@ -202,7 +209,7 @@ impl Default for ServerConfig {
                 }),
             wal_path: None,
             enable_history: true,
-            gc_interval: Duration::from_secs(1),
+            gc_interval: Duration::from_millis(100),
             history_release_interval: None,
             idle_poll: Duration::from_micros(200),
             wal_sync_interval: Duration::from_millis(2),
@@ -429,6 +436,12 @@ pub struct ServerStats {
     pub sched_ns: Arc<Counter>,
     /// Nanoseconds recording history.
     pub history_ns: Arc<Counter>,
+    /// Undo entries a readable version can still need, summed over
+    /// algorithms; refreshed on the GC tick.
+    pub history_resident_entries: Arc<Gauge>,
+    /// Heap bytes of the history stores (whole log segments, head
+    /// tables, version indexes); refreshed on the GC tick.
+    pub history_resident_bytes: Arc<Gauge>,
     /// Nanoseconds appending + syncing the WAL.
     pub wal_ns: Arc<Counter>,
     /// Nanoseconds envelopes spent queued before execution ("network"
@@ -487,6 +500,8 @@ impl ServerStats {
             threshold: registry.gauge("core.threshold"),
             sched_ns: registry.counter("core.sched_ns"),
             history_ns: registry.counter("core.history_ns"),
+            history_resident_entries: registry.gauge("core.history.resident_entries"),
+            history_resident_bytes: registry.gauge("core.history.resident_bytes"),
             wal_ns: registry.counter("core.wal_ns"),
             queue_ns: registry.counter("core.queue_ns"),
             update_latency: registry.histogram("core.update_latency_ns"),
@@ -831,18 +846,16 @@ impl Server {
         self.shared.version.load(Ordering::Acquire)
     }
 
-    /// Memory-resident history deltas across all algorithms: per-vertex
-    /// chain entries plus per-version modification lists. The quantity
+    /// Memory-resident history deltas across all algorithms: the undo
+    /// entries a readable version can still need. The quantity
     /// [`ServerConfig::history_release_interval`] keeps bounded under
-    /// churn.
+    /// churn; the `core.history.resident_entries` gauge is this number
+    /// as of the last GC tick.
     pub fn history_resident_entries(&self) -> usize {
         self.shared
             .history
             .iter()
-            .map(|h| {
-                let g = h.lock();
-                g.chain_entries() + g.modified_versions()
-            })
+            .map(|h| h.lock().chain_entries())
             .sum()
     }
 
@@ -1700,11 +1713,21 @@ fn run_epochs(
                 let released = shared.released.lock();
                 released.values().copied().min().unwrap_or(0)
             };
-            if watermark > 0 {
-                for h in &shared.history {
-                    h.lock().collect(watermark);
-                }
+            let (mut entries, mut bytes) = (0, 0);
+            for h in &shared.history {
+                let mut h = h.lock();
+                h.collect(watermark);
+                entries += h.chain_entries();
+                bytes += h.memory_bytes();
             }
+            shared
+                .stats
+                .history_resident_entries
+                .store(entries as u64, Ordering::Relaxed);
+            shared
+                .stats
+                .history_resident_bytes
+                .store(bytes as u64, Ordering::Relaxed);
             shared
                 .stats
                 .history_ns

@@ -21,7 +21,8 @@ use risgraph::common::protocol::{read_frame, write_frame, Request, Response, MAX
 use risgraph::prelude::*;
 use risgraph_net::{FollowerConfig, NetClient, NetConfig, NetServer, ReplicaServer};
 use risgraph_testkit::{
-    disjoint_session_streams, drive_net_sessions, server_config, RegionStreamConfig,
+    disjoint_session_streams, drive_net_sessions, server_config, unsafe_chain_preload,
+    unsafe_chain_streams, RegionStreamConfig, UnsafeChainConfig,
 };
 
 fn wcc_algorithms() -> Vec<DynAlgorithm> {
@@ -63,6 +64,13 @@ fn histogram_count(snapshot: &[(String, MetricValue)], name: &str) -> Option<u64
 fn counter(snapshot: &[(String, MetricValue)], name: &str) -> Option<u64> {
     snapshot.iter().find_map(|(n, v)| match v {
         MetricValue::Counter(c) if n == name => Some(*c),
+        _ => None,
+    })
+}
+
+fn gauge(snapshot: &[(String, MetricValue)], name: &str) -> Option<u64> {
+    snapshot.iter().find_map(|(n, v)| match v {
+        MetricValue::Gauge(g) if n == name => Some(*g),
         _ => None,
     })
 }
@@ -219,12 +227,72 @@ fn replica_serves_follower_stats_over_metrics() {
         "the follower applied records"
     );
     assert!(counter(&snap, "replica.connects").expect("replica.connects") >= 1);
-    let lag = snap.iter().find_map(|(n, v)| match v {
-        MetricValue::Gauge(g) if n == "replica.lag" => Some(*g),
-        _ => None,
-    });
-    assert_eq!(lag, Some(0), "converged replica must report zero lag");
+    assert_eq!(
+        gauge(&snap, "replica.lag"),
+        Some(0),
+        "converged replica must report zero lag"
+    );
 
     follower.shutdown();
     net.shutdown();
+}
+
+/// The history footprint is visible from the running process: the
+/// `core.history.resident_*` gauges rise under unsafe traffic and fall
+/// once the session releases its versions and a GC tick has run.
+#[test]
+fn history_footprint_gauges_rise_under_unsafe_traffic_and_fall_after_release() {
+    let cfg = UnsafeChainConfig {
+        sessions: 1,
+        chain: 256,
+        pairs: 16,
+        ..UnsafeChainConfig::default()
+    };
+    let mut server_cfg = server_config(BackendKind::IaHash, 2);
+    server_cfg.gc_interval = Duration::from_millis(2);
+    let srv: Server = Server::start(wcc_algorithms(), cfg.capacity(), server_cfg).expect("server");
+    srv.load_edges(&unsafe_chain_preload(&cfg));
+    let session = srv.session();
+    // The coordinator collects at the end of an epoch — after that
+    // epoch's replies — so a tick needs an operation (an empty
+    // transaction records no history itself) and a reader has to poll.
+    let gauges_when = |what: &str, done: &dyn Fn(u64, u64) -> bool| {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            std::thread::sleep(Duration::from_millis(5));
+            session.txn_updates(Vec::new()).outcome.expect("empty txn");
+            let snap = srv.metrics().snapshot();
+            let entries = gauge(&snap, "core.history.resident_entries").expect("resident_entries");
+            let bytes = gauge(&snap, "core.history.resident_bytes").expect("resident_bytes");
+            if done(entries, bytes) {
+                return (entries, bytes);
+            }
+            assert!(
+                Instant::now() < deadline,
+                "{what}: gauges stuck at {entries} entries, {bytes} bytes"
+            );
+        }
+    };
+
+    let (_, bytes_idle) = gauges_when("first tick", &|entries, bytes| entries == 0 && bytes > 0);
+
+    // 32 unsafe updates × 255 changed labels: more than one log segment.
+    let mut last = 0;
+    for u in &unsafe_chain_streams(&cfg)[0] {
+        let reply = session.submit_update(u);
+        reply.outcome.expect("chain update");
+        last = reply.version;
+    }
+    let (entries_loaded, bytes_loaded) =
+        gauges_when("after traffic", &|entries, _| entries == 32 * 255);
+    assert_eq!(entries_loaded as usize, srv.history_resident_entries());
+    assert!(bytes_loaded > bytes_idle, "{bytes_idle} → {bytes_loaded}");
+
+    // Only the released version's own modification list stays needed,
+    // and the segments in front of it go.
+    session.release_history(last);
+    gauges_when("after release", &|entries, bytes| {
+        entries == 255 && bytes < bytes_loaded
+    });
+    srv.shutdown();
 }
