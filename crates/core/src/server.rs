@@ -26,6 +26,18 @@
 //!   shards report applied updates and latency counts, the coordinator
 //!   merges them into one WAL group-commit record per epoch and one
 //!   aggregated scheduler batch.
+//! * The **inline rule**: the partition above is applied only to an
+//!   epoch that holds more than [`INLINE_SAFE_PER_SHARD`] safe updates
+//!   per shard. A smaller epoch is one partition — exactly the
+//!   `shards = 1` schedule — which the coordinator drains itself, with
+//!   no job dispatched and no barrier to wait at: two thread hand-offs
+//!   cost more than the ≈ 0.7 µs of work in a two-update epoch (§3.2
+//!   uses parallelism only where the work outweighs its
+//!   synchronisation). The choice is made per epoch from its size
+//!   alone, so synchronous sessions (§6.2, one update in flight each)
+//!   run inline and pipelined or multiplexed traffic shards as before;
+//!   `core.epochs_inline` against `core.epochs` says which a server is
+//!   doing.
 //! * Per-session order is preserved and each session observes
 //!   sequentially consistent behaviour: a session's updates execute in
 //!   submission order, and a demoted safe update re-enters its session's
@@ -97,6 +109,12 @@ pub struct ServerConfig {
     /// (the coordinator drains shard 0 itself). Defaults to the
     /// `RISGRAPH_SHARDS` environment variable when set, else the
     /// machine's available parallelism.
+    ///
+    /// The partition applies to epochs of more than
+    /// [`INLINE_SAFE_PER_SHARD`]` × shards` safe updates; a smaller
+    /// epoch runs on the coordinator alone, as if `shards` were 1 (the
+    /// inline rule, see the module docs), so the value set here costs
+    /// nothing while traffic is sparse.
     pub shards: usize,
     /// Enable the write-ahead log at this path (replayed on startup).
     pub wal_path: Option<PathBuf>,
@@ -369,6 +387,36 @@ fn perform_checkpoint(
 /// never holds more than about this many segments beyond the snapshot.
 const CHECKPOINT_SEGMENT_LAG: u64 = 4;
 
+/// The inline rule's constant: an epoch holding at most this many safe
+/// updates **per configured shard** runs its safe phase on the
+/// coordinator alone (see [`ServerConfig::shards`]).
+///
+/// From a three-point sweep on the `perfbench` workloads either side of
+/// the rule (nproc 2, `shards = 2`, seeds 1 and 2, one 10 s run each;
+/// the parent commit, which never inlines, for reference):
+///
+/// | per shard | `inproc_paper_sync` ops/s | `tcp_safe_open` P50 µs | `tcp_safe_peak` ops/s | `tcp_mux_sessions` ops/s |
+/// |---|---|---|---|---|
+/// | parent | 33 k, 33 k | 350, 277 | 186 k, 236 k | 185 k, 223 k |
+/// | **8** | 241 k, 271 k | 395, 230 | 201 k, 255 k | 207 k, 216 k |
+/// | 64 | 230 k, 271 k | 353, 231 | 181 k, 233 k | 203 k, 228 k |
+/// | 512 | 203 k, 266 k | 335, 247 | 195 k, 219 k | 213 k, 211 k |
+///
+/// 8 and 64 are not distinguishable (a seed moves every row by more
+/// than the constant does); 512 starts to pull mid-sized epochs off the
+/// workers and trails on the synchronous and the saturated workload.
+/// The smallest value that covers a synchronous epoch — one update per
+/// session, a handful of sessions per core — is the one that leaves
+/// everything larger on the path it was on.
+pub const INLINE_SAFE_PER_SHARD: usize = 8;
+
+/// How long a synchronous submission probes its reply channel before
+/// it parks (by the clock; see [`Session`]). About ten inline epochs:
+/// long enough that a safe update's reply is always caught, short
+/// enough that a caller waiting out an unsafe update or a large epoch
+/// gives its core away almost at once.
+pub const SYNC_REPLY_SPIN: Duration = Duration::from_micros(30);
+
 /// Information returned with every successful update.
 #[derive(Debug, Clone, Copy)]
 pub struct Applied {
@@ -424,6 +472,19 @@ struct Envelope {
 pub struct ServerStats {
     /// Epoch loops completed.
     pub epochs: Arc<Counter>,
+    /// Epochs whose safe phase stayed on the coordinator — no dispatch,
+    /// no barrier — because they held at most
+    /// [`INLINE_SAFE_PER_SHARD`] safe updates per shard (every epoch of
+    /// a `shards = 1` server). `epochs − epochs_inline` is the number
+    /// that took the sharded path.
+    pub epochs_inline: Arc<Counter>,
+    /// Synchronous submissions whose reply took longer than the
+    /// caller-side spin ([`SYNC_REPLY_SPIN`]) and parked the calling
+    /// thread — each one cost a sleep and a wake-up syscall.
+    pub sync_reply_parks: Arc<Counter>,
+    /// Session queues the coordinator holds, as of the last GC tick
+    /// (which drops the drained ones).
+    pub pending_sessions: Arc<Gauge>,
     /// Updates executed on the parallel safe path.
     pub safe_executed: Arc<Counter>,
     /// Updates executed on the serial unsafe path.
@@ -494,6 +555,9 @@ impl ServerStats {
     fn registered(registry: &Registry) -> Self {
         let stats = ServerStats {
             epochs: registry.counter("core.epochs"),
+            epochs_inline: registry.counter("core.epochs_inline"),
+            sync_reply_parks: registry.counter("core.sync_reply_parks"),
+            pending_sessions: registry.gauge("core.pending_sessions"),
             safe_executed: registry.counter("core.safe_executed"),
             unsafe_executed: registry.counter("core.unsafe_executed"),
             demotions: registry.counter("core.demotions"),
@@ -899,13 +963,23 @@ impl Drop for Server {
 ///
 /// * the **synchronous** Table 1 methods ([`Session::ins_edge`] etc.)
 ///   submit one op and block for its reply — the paper's emulated
-///   synchronous users;
-/// * the **pipelined** pair [`Session::submit_tagged`] /
+///   synchronous users. The wait is spin-then-park **on the calling
+///   thread**: it probes the reply channel (lock-free, yielding every
+///   64 probes) for at most [`SYNC_REPLY_SPIN`] before it sleeps, so
+///   the reply of an inline epoch is picked up without a sleep on this
+///   side or a wake-up syscall on the coordinator's. Waits that outlast
+///   the spin are counted in `core.sync_reply_parks`;
+/// * the **pipelined** pair [`Session::submit_op_tagged`] /
 ///   [`Session::recv_tagged`] keeps many ops in flight, each stamped
-///   with a caller-chosen tag that comes back with its reply. The
-///   network tier threads wire request-ids through here. Don't mix the
-///   two on one session while tagged ops are in flight — a synchronous
-///   call would steal the next tagged reply.
+///   with a caller-chosen tag that comes back with its reply. It never
+///   spins: `recv_tagged` parks at once, and an event loop uses
+///   [`Session::set_reply_waker`]. The network tier threads wire
+///   request-ids through here. Don't mix the two on one session while
+///   tagged ops are in flight — a synchronous call would steal the next
+///   tagged reply.
+///
+/// No server thread spins — only the thread that owns a synchronous
+/// wait may burn its own time slice on it.
 pub struct Session {
     id: u64,
     shared: Arc<Shared>,
@@ -926,6 +1000,29 @@ impl Session {
                 version: self.shared.version.load(Ordering::Acquire),
                 outcome: Err(e),
             };
+        }
+        // Spin, then park. An inline epoch answers in a few
+        // microseconds; picking that reply up without sleeping saves
+        // this thread's wake-up latency and — the reply channel only
+        // notifies a parked receiver — the coordinator's wake-up
+        // syscall. The probe takes no lock, and the yields hand the
+        // core over whenever something else is runnable.
+        let spin_until = Instant::now() + SYNC_REPLY_SPIN;
+        'spin: loop {
+            for _ in 0..64 {
+                if !self.reply_rx.is_empty() {
+                    break 'spin;
+                }
+                std::hint::spin_loop();
+            }
+            if Instant::now() >= spin_until {
+                self.shared
+                    .stats
+                    .sync_reply_parks
+                    .fetch_add(1, Ordering::Relaxed);
+                break;
+            }
+            std::thread::yield_now();
         }
         match self.reply_rx.recv() {
             Ok((_, r)) => r,
@@ -1476,15 +1573,28 @@ fn run_epochs(
         let mut safe_ops: u64 = 0;
         let mut unsafe_groups: Vec<Vec<Update>> = Vec::new();
         let mut shard_counts: Vec<(u64, u64)> = Vec::new();
+        // The inline rule (§3.2: parallelism only where the work
+        // outweighs its synchronisation): an epoch with at most
+        // `INLINE_SAFE_PER_SHARD` safe updates per shard is one
+        // partition, which the coordinator drains itself — nothing is
+        // dispatched and the barrier below has nobody to wait for.
+        let num_shards = if buf.safe_count <= INLINE_SAFE_PER_SHARD * config.shards.max(1) {
+            1
+        } else {
+            config.shards.max(1)
+        };
+        if num_shards == 1 {
+            shared.stats.epochs_inline.fetch_add(1, Ordering::Relaxed);
+        }
         if buf.safe_count > 0 {
             // Hash-partition sessions over the *safe-phase* executors:
             // shard 0 is the coordinator itself, shards 1..N the worker
             // threads. The pool may be larger (sized for
             // `unsafe_workers`); the safe partition deliberately stays
-            // a function of `config.shards` alone so enabling parallel
-            // unsafe execution cannot change safe-phase scheduling.
-            let safe_shards = &shards[..config.shards.max(1) - 1];
-            let num_shards = safe_shards.len() + 1;
+            // a function of `config.shards` and the epoch's size alone
+            // so enabling parallel unsafe execution cannot change
+            // safe-phase scheduling.
+            let safe_shards = &shards[..num_shards - 1];
             let mut parts: Vec<Vec<(u64, Vec<Envelope>)>> =
                 (0..num_shards).map(|_| Vec::new()).collect();
             for (sid, group) in std::mem::take(&mut buf.safe_groups) {
@@ -1706,8 +1816,22 @@ fn run_epochs(
             }
         }
 
-        if shared.enable_history && last_gc.elapsed() >= config.gc_interval {
+        let tick = last_gc.elapsed() >= config.gc_interval;
+        if tick {
             last_gc = Instant::now();
+            // Forget the sessions with nothing queued: the table would
+            // otherwise hold a queue for every session id ever seen and
+            // the gather loop walks all of it on every pass. On the
+            // tick rather than per epoch — a live synchronous session's
+            // queue is drained after every update, and dropping it each
+            // time would put an allocation on the per-update path.
+            pending.retain(|_, queue| !queue.is_empty());
+            shared
+                .stats
+                .pending_sessions
+                .store(pending.len() as u64, Ordering::Relaxed);
+        }
+        if shared.enable_history && tick {
             let t_hist = Instant::now();
             let watermark = {
                 let released = shared.released.lock();

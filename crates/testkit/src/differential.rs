@@ -26,7 +26,7 @@ use std::sync::Arc;
 use risgraph_algorithms::Monotonic;
 use risgraph_common::ids::{Update, VersionId};
 use risgraph_core::engine::{Engine, Safety};
-use risgraph_core::server::Server;
+use risgraph_core::server::{Reply, Server};
 use risgraph_storage::DynamicGraph;
 
 use crate::oracle::{apply_update, oracle_values, LiveEdge};
@@ -42,6 +42,25 @@ pub struct StepTrace {
     pub result_changes: usize,
     /// The version id the reply carried.
     pub version: VersionId,
+}
+
+impl From<Reply> for StepTrace {
+    fn from(reply: Reply) -> Self {
+        match reply.outcome {
+            Ok(applied) => StepTrace {
+                ok: true,
+                safety: Some(applied.safety),
+                result_changes: applied.result_changes,
+                version: reply.version,
+            },
+            Err(_) => StepTrace {
+                ok: false,
+                safety: None,
+                result_changes: 0,
+                version: reply.version,
+            },
+        }
+    }
 }
 
 /// One session's full observation sequence.
@@ -64,23 +83,7 @@ pub fn drive_sessions(server: &Arc<Server>, streams: &[Vec<Update>]) -> Vec<Sess
                     let session = server.session();
                     let steps = stream
                         .iter()
-                        .map(|u| {
-                            let reply = session.submit_update(u);
-                            match reply.outcome {
-                                Ok(applied) => StepTrace {
-                                    ok: true,
-                                    safety: Some(applied.safety),
-                                    result_changes: applied.result_changes,
-                                    version: reply.version,
-                                },
-                                Err(_) => StepTrace {
-                                    ok: false,
-                                    safety: None,
-                                    result_changes: 0,
-                                    version: reply.version,
-                                },
-                            }
-                        })
+                        .map(|u| session.submit_update(u).into())
                         .collect();
                     SessionTrace { steps }
                 })
@@ -125,21 +128,7 @@ pub fn drive_sessions_pipelined(
             let mut steps = vec![None; stream.len()];
             for _ in 0..stream.len() {
                 let (tag, reply) = session.recv_tagged().expect("reply");
-                let step = match reply.outcome {
-                    Ok(applied) => StepTrace {
-                        ok: true,
-                        safety: Some(applied.safety),
-                        result_changes: applied.result_changes,
-                        version: reply.version,
-                    },
-                    Err(_) => StepTrace {
-                        ok: false,
-                        safety: None,
-                        result_changes: 0,
-                        version: reply.version,
-                    },
-                };
-                steps[tag as usize] = Some(step);
+                steps[tag as usize] = Some(reply.into());
             }
             SessionTrace {
                 steps: steps

@@ -471,6 +471,11 @@ fn run_serve(args: Args) -> ! {
             s.unsafe_parallel_groups.load(Ordering::Relaxed),
             s.unsafe_serial_fallbacks.load(Ordering::Relaxed),
         );
+        println!(
+            "hand-offs: epochs_inline={} sync_reply_parks={}",
+            s.epochs_inline.load(Ordering::Relaxed),
+            s.sync_reply_parks.load(Ordering::Relaxed),
+        );
         let registry = net.server().metrics();
         let traced = registry.counter("epoch.traced").load(Ordering::Relaxed);
         let flagged = registry.counter("epoch.flagged").load(Ordering::Relaxed);

@@ -21,7 +21,7 @@ use risgraph::common::protocol::{read_frame, write_frame, Request, Response, MAX
 use risgraph::prelude::*;
 use risgraph_net::{FollowerConfig, NetClient, NetConfig, NetServer, ReplicaServer};
 use risgraph_testkit::{
-    disjoint_session_streams, drive_net_sessions, server_config, unsafe_chain_preload,
+    disjoint_session_streams, drive_net_sessions, safe_churn, server_config, unsafe_chain_preload,
     unsafe_chain_streams, RegionStreamConfig, UnsafeChainConfig,
 };
 
@@ -108,6 +108,15 @@ fn metrics_opcode_reports_per_phase_epoch_histograms() {
     // presence — not a level — is stable).
     assert!(counter(&snap, "core.epochs").expect("core.epochs") > 0);
     assert!(counter(&snap, "core.safe_executed").expect("core.safe_executed") > 0);
+    // The hand-off counters travel over the wire too. Blocking clients
+    // keep one update in flight per connection, so every epoch stayed
+    // on the coordinator; the serving tier submits tagged and drains on
+    // a waker, so nothing ever waited synchronously.
+    assert_eq!(
+        counter(&snap, "core.epochs_inline"),
+        counter(&snap, "core.epochs")
+    );
+    assert_eq!(counter(&snap, "core.sync_reply_parks"), Some(0));
     assert!(
         snap.iter()
             .any(|(n, v)| n == "net.worker.0.connections" && matches!(v, MetricValue::Gauge(_))),
@@ -294,5 +303,77 @@ fn history_footprint_gauges_rise_under_unsafe_traffic_and_fall_after_release() {
     gauges_when("after release", &|entries, bytes| {
         entries == 255 && bytes < bytes_loaded
     });
+    srv.shutdown();
+}
+
+/// The hand-offs of the synchronous round trip are countable: one
+/// synchronous session over safe churn keeps every epoch on the
+/// coordinator (`core.epochs_inline == core.epochs`) and picks almost
+/// every reply up within its spin (`core.sync_reply_parks` stays far
+/// below the update count), while one update that relabels a long chain
+/// outlasts the spin and is counted as a park.
+#[test]
+fn synchronous_round_trip_counts_inline_epochs_and_parks() {
+    const UPDATES: u64 = 4_000;
+    let cfg = UnsafeChainConfig {
+        sessions: 1,
+        chain: 20_000,
+        ..UnsafeChainConfig::default()
+    };
+    let preload = unsafe_chain_preload(&cfg);
+    let srv: Server = Server::start(
+        wcc_algorithms(),
+        cfg.capacity(),
+        server_config(BackendKind::IaHash, 2),
+    )
+    .expect("server");
+    srv.load_edges(&preload);
+    let session = srv.session();
+    let counters = || {
+        let snap = srv.metrics().snapshot();
+        (
+            counter(&snap, "core.epochs").expect("core.epochs"),
+            counter(&snap, "core.epochs_inline").expect("core.epochs_inline"),
+            counter(&snap, "core.sync_reply_parks").expect("core.sync_reply_parks"),
+        )
+    };
+
+    for u in &safe_churn(&preload, UPDATES as usize / 2, 7) {
+        let applied = session.submit_update(u).outcome.expect("safe churn");
+        assert_eq!(applied.safety, Safety::Safe);
+    }
+    // The coordinator counts an epoch as it ends, which is after the
+    // epoch's reply went out: let it finish the last one.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let (epochs, inline, parks_safe) = loop {
+        let seen = counters();
+        if seen.0 >= UPDATES {
+            break seen;
+        }
+        assert!(Instant::now() < deadline, "epoch {} never ended", seen.0);
+        std::thread::yield_now();
+    };
+    assert_eq!(epochs, UPDATES, "one update in flight: one epoch each");
+    assert_eq!(inline, epochs, "a one-update epoch was dispatched");
+    assert!(
+        parks_safe < UPDATES / 4,
+        "{parks_safe} of {UPDATES} synchronous safe updates parked"
+    );
+
+    // Cutting the chain's first edge relabels every vertex behind it.
+    let cut = session.submit_update(&unsafe_chain_streams(&cfg)[0][0]);
+    assert_eq!(cut.outcome.expect("cut").safety, Safety::Unsafe);
+    let (_, _, parks) = counters();
+    assert_eq!(parks, parks_safe + 1, "a 20 000-vertex relabel parks");
+
+    // Both are in the Prometheus exposition as well, with the value
+    // the snapshot has.
+    let text = srv.metrics().render_prometheus();
+    for line in [
+        format!("risgraph_core_epochs_inline {}", UPDATES + 1),
+        format!("risgraph_core_sync_reply_parks {parks}"),
+    ] {
+        assert!(text.lines().any(|l| l == line), "no `{line}` in:\n{text}");
+    }
     srv.shutdown();
 }

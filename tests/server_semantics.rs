@@ -292,3 +292,41 @@ fn unsafe_txn_rollback_restores_results() {
     assert_eq!(srv.engine().num_edges(), 1, "structure restored too");
     srv.shutdown();
 }
+
+/// The coordinator's per-session queue table follows the sessions that
+/// have something queued, not every session id it has ever seen: after
+/// 10 000 sessions came, submitted one update each and went, a GC tick
+/// leaves at most the one session that is still open.
+#[test]
+fn closed_sessions_leave_the_coordinators_queue_table() {
+    let config = ServerConfig {
+        gc_interval: Duration::from_millis(5),
+        ..ServerConfig::default()
+    };
+    let server: Server =
+        Server::start(vec![Arc::new(Bfs::new(0)) as DynAlgorithm], 8, config).unwrap();
+    let live = server.session();
+    for i in 0..10_000 {
+        let gone = server.session();
+        assert!(gone.ins_edge(Edge::new(0, 1, i)).outcome.is_ok());
+    }
+    // The table is pruned on the tick at the end of an epoch, so give
+    // it two intervals and an (empty) operation to ride on.
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    loop {
+        std::thread::sleep(Duration::from_millis(10));
+        live.txn_updates(Vec::new()).outcome.expect("empty txn");
+        let tracked = server
+            .stats()
+            .pending_sessions
+            .load(std::sync::atomic::Ordering::Relaxed);
+        if tracked <= 1 {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "{tracked} session queues still tracked"
+        );
+    }
+    server.shutdown();
+}
