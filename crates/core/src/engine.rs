@@ -32,8 +32,8 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 use risgraph_algorithms::Monotonic;
-use risgraph_common::hash::FxHashSet;
 use risgraph_common::ids::{Edge, Update, VertexId};
+use risgraph_common::metrics::Counter;
 use risgraph_common::Result;
 use risgraph_storage::adjacency::DeleteOutcome;
 use risgraph_storage::index::EdgeIndex;
@@ -149,6 +149,11 @@ pub struct EngineStats {
     pub classify_ns: AtomicU64,
     /// Edges relaxed by propagation.
     pub edges_relaxed: AtomicU64,
+    /// Propagations whose sequential stage spent its edge budget
+    /// (`PushConfig::sequential_grain`) and handed the rest of the
+    /// worklist to the parallel modes. A registry handle so the server
+    /// can adopt it as `core.push.escalations`.
+    pub push_escalations: Arc<Counter>,
 }
 
 impl EngineStats {
@@ -569,8 +574,8 @@ impl<G: DynamicGraph> Engine<G> {
     }
 
     /// [`Self::apply_unsafe`] with strictly sequential propagation:
-    /// the push config is pinned so push propagation never enters
-    /// pull mode or the shared worker pool. Unlike
+    /// the sequential stage's budget is unbounded, so propagation never
+    /// escalates to pull mode or the shared worker pool. Unlike
     /// `apply_unsafe`, concurrent calls are permitted **iff** their
     /// affected areas (see [`crate::affected::footprint`]) are
     /// pairwise-disjoint vertex sets: per-vertex tree slots, store
@@ -580,8 +585,6 @@ impl<G: DynamicGraph> Engine<G> {
     pub fn apply_unsafe_sequential(&self, u: &Update) -> Result<ChangeSet> {
         let push = PushConfig {
             sequential_grain: usize::MAX,
-            pull_threshold: 1.0,
-            forced_mode: None,
             ..self.config.push.clone()
         };
         self.apply_unsafe_inner(u, &push)
@@ -591,9 +594,9 @@ impl<G: DynamicGraph> Engine<G> {
         let st = self.state.read();
         let epoch = self.next_epoch();
         let t0 = std::time::Instant::now();
-        let mut changes = ChangeSet {
-            per_algo: vec![Vec::new(); st.algos.len()],
-        };
+        // `Some` when the algorithms ran: their change lists, collected
+        // straight into place.
+        let mut per_algo = None;
         match u {
             Update::InsVertex(v) => {
                 st.store.insert_vertex(*v)?;
@@ -607,9 +610,12 @@ impl<G: DynamicGraph> Engine<G> {
                 st.store.insert_edge(*e)?;
                 EngineStats::add(&self.stats.update_ns, t0.elapsed().as_nanos() as u64);
                 let tc = std::time::Instant::now();
-                for (i, a) in st.algos.iter().enumerate() {
-                    changes.per_algo[i] = self.algo_on_insert(&st, a, *e, epoch, push);
-                }
+                per_algo = Some(
+                    st.algos
+                        .iter()
+                        .map(|a| self.algo_on_insert(&st, a, *e, epoch, push))
+                        .collect(),
+                );
                 EngineStats::add(&self.stats.compute_ns, tc.elapsed().as_nanos() as u64);
             }
             Update::DelEdge(e) => {
@@ -617,15 +623,20 @@ impl<G: DynamicGraph> Engine<G> {
                 EngineStats::add(&self.stats.update_ns, t0.elapsed().as_nanos() as u64);
                 if outcome == DeleteOutcome::Removed {
                     let tc = std::time::Instant::now();
-                    for (i, a) in st.algos.iter().enumerate() {
-                        changes.per_algo[i] = self.algo_on_delete(&st, a, *e, epoch, push);
-                    }
+                    per_algo = Some(
+                        st.algos
+                            .iter()
+                            .map(|a| self.algo_on_delete(&st, a, *e, epoch, push))
+                            .collect(),
+                    );
                     EngineStats::add(&self.stats.compute_ns, tc.elapsed().as_nanos() as u64);
                 }
             }
         }
         EngineStats::add(&self.stats.unsafe_applied, 1);
-        Ok(changes)
+        Ok(ChangeSet {
+            per_algo: per_algo.unwrap_or_else(|| vec![Vec::new(); st.algos.len()]),
+        })
     }
 
     /// Apply an update to the graph structure only, without touching any
@@ -684,20 +695,30 @@ impl<G: DynamicGraph> Engine<G> {
         }
     }
 
-    fn collect_changes(a: &AlgoState, raw: Vec<(VertexId, VertexState)>) -> Vec<ChangeRecord> {
-        raw.into_iter()
-            .filter_map(|(v, old)| {
-                let new = a.tree.get(v);
-                let rec = ChangeRecord {
-                    vertex: v,
-                    old: old.value,
-                    new: new.value,
-                    old_parent: old.parent_edge(v),
-                    new_parent: new.parent_edge(v),
-                };
-                (rec.old != rec.new || rec.old_parent != rec.new_parent).then_some(rec)
-            })
-            .collect()
+    /// Fold one propagation's outcome into the engine counters and
+    /// turn its first-change captures into change records.
+    fn finish(&self, a: &AlgoState, result: PushResult) -> Vec<ChangeRecord> {
+        EngineStats::add(&self.stats.edges_relaxed, result.edges_relaxed);
+        if result.escalations > 0 {
+            self.stats
+                .push_escalations
+                .fetch_add(result.escalations, Ordering::Relaxed);
+        }
+        let mut records = Vec::with_capacity(result.changed.len());
+        for (v, old) in result.changed {
+            let new = a.tree.get(v);
+            let rec = ChangeRecord {
+                vertex: v,
+                old: old.value,
+                new: new.value,
+                old_parent: old.parent_edge(v),
+                new_parent: new.parent_edge(v),
+            };
+            if rec.old != rec.new || rec.old_parent != rec.new_parent {
+                records.push(rec);
+            }
+        }
+        records
     }
 
     /// Insertion repair: relax the new edge; on improvement, propagate.
@@ -727,16 +748,13 @@ impl<G: DynamicGraph> Engine<G> {
             }
         }
         ctx.propagate_into(frontier, &mut result);
-        EngineStats::add(&self.stats.edges_relaxed, result.edges_relaxed);
-        Self::collect_changes(a, result.changed)
+        self.finish(a, result)
     }
 
-    fn orientations(a: &AlgoState, e: Edge) -> Vec<Edge> {
-        if a.alg.undirected() && e.src != e.dst {
-            vec![e, e.reversed()]
-        } else {
-            vec![e]
-        }
+    /// `e`, and for an undirected algorithm its reverse as well.
+    fn orientations(a: &AlgoState, e: Edge) -> impl Iterator<Item = Edge> {
+        let reverse = (a.alg.undirected() && e.src != e.dst).then(|| e.reversed());
+        std::iter::once(e).chain(reverse)
     }
 
     /// Deletion repair (§2): if the deleted edge was a dependency-tree
@@ -751,89 +769,73 @@ impl<G: DynamicGraph> Engine<G> {
         epoch: u64,
         push: &PushConfig,
     ) -> Vec<ChangeRecord> {
-        let mut roots = Vec::new();
-        if a.tree.is_tree_edge(e) {
-            roots.push(e.dst);
-        }
-        if a.alg.undirected() && a.tree.is_tree_edge(e.reversed()) {
-            roots.push(e.src);
-        }
-        if roots.is_empty() {
-            return Vec::new(); // §4 rule 2: off-tree deletions change nothing
-        }
-
-        // 1. Collect the invalidated subtree. Children of `v` are exactly
-        //    the adjacent vertices whose parent pointer is (v, weight) —
-        //    discoverable from v's own adjacency, keeping this localized.
+        // 1. Invalidate the subtree below the deleted edge in one walk:
+        //    reset a vertex to its initial value the moment it is
+        //    discovered, recording its pre-update state. Children of `v`
+        //    are exactly the adjacent vertices whose parent pointer is
+        //    (v, weight) — discoverable from v's own adjacency, keeping
+        //    this localized — and a reset vertex has no parent pointer
+        //    left, so it can never be discovered twice: the reset is the
+        //    visited mark. `sub` doubles as the walk's queue.
         let undirected = a.alg.undirected();
-        let mut in_sub: FxHashSet<VertexId> = FxHashSet::default();
-        let mut stack = roots.clone();
-        let mut sub = Vec::new();
-        for &r in &roots {
-            in_sub.insert(r);
-        }
-        while let Some(v) = stack.pop() {
-            sub.push(v);
-            {
-                let (stack_ref, in_sub_ref) = (&mut stack, &mut in_sub);
-                st.store.scan_out(v, &mut |d, w, _| {
-                    if a.tree.is_tree_edge(Edge::new(v, d, w)) && in_sub_ref.insert(d) {
-                        stack_ref.push(d);
-                    }
-                });
-            }
-            if undirected {
-                let (stack_ref, in_sub_ref) = (&mut stack, &mut in_sub);
-                st.store.scan_in(v, &mut |d, w, _| {
-                    if a.tree.is_tree_edge(Edge::new(v, d, w)) && in_sub_ref.insert(d) {
-                        stack_ref.push(d);
-                    }
-                });
-            }
-        }
-
-        // 2. Reset the subtree to initial values (recording pre-update
-        //    states exactly once per vertex via the epoch stamp).
         let mut result = PushResult::default();
-        for &v in &sub {
+        let mut sub = Vec::new();
+        let mut invalidate = |v: VertexId, sub: &mut Vec<VertexId>| {
             let (old, first) = a.tree.reset(v, epoch);
             if first {
                 result.changed.push((v, old));
             }
+            sub.push(v);
+        };
+        if a.tree.is_tree_edge(e) {
+            invalidate(e.dst, &mut sub);
+        }
+        if undirected && a.tree.is_tree_edge(e.reversed()) {
+            invalidate(e.src, &mut sub);
+        }
+        if sub.is_empty() {
+            return Vec::new(); // §4 rule 2: off-tree deletions change nothing
+        }
+        let mut next = 0;
+        while let Some(&v) = sub.get(next) {
+            next += 1;
+            let mut child = |d, w, _| {
+                if a.tree.is_tree_edge(Edge::new(v, d, w)) {
+                    invalidate(d, &mut sub);
+                }
+            };
+            st.store.scan_out(v, &mut child);
+            if undirected {
+                st.store.scan_in(v, &mut child);
+            }
         }
 
-        // 3. Trimmed approximation: seed each invalidated vertex with its
+        // 2. Trimmed approximation: seed each invalidated vertex with its
         //    best candidate from current neighbour values (unaffected
         //    neighbours hold correct values; affected ones hold inits and
         //    simply produce non-improving candidates).
         for &v in &sub {
-            st.store.scan_in(v, &mut |x, w, _| {
-                // stored edge x → v
+            let mut seed = |x, w, _| {
+                // stored edge x → v (undirected: also v → x, read backwards)
                 let cand = a.alg.gen_next(Edge::new(x, v, w), a.tree.value(x));
                 a.tree.try_update(v, Some((x, w)), epoch, |cur| {
                     a.alg.need_upd(v, cur, cand).then_some(cand)
                 });
-            });
+            };
+            st.store.scan_in(v, &mut seed);
             if undirected {
-                st.store.scan_out(v, &mut |x, w, _| {
-                    let cand = a.alg.gen_next(Edge::new(x, v, w), a.tree.value(x));
-                    a.tree.try_update(v, Some((x, w)), epoch, |cur| {
-                        a.alg.need_upd(v, cur, cand).then_some(cand)
-                    });
-                });
+                st.store.scan_out(v, &mut seed);
             }
         }
 
-        // 4. Propagate to fixpoint, seeding the whole invalidated set:
+        // 3. Propagate to fixpoint, seeding the whole invalidated set:
         //    even a vertex still at its initial value can be a
         //    propagation source (WCC — a reset vertex's own label may be
         //    the new component minimum), and any vertex improved later
         //    re-enters the frontier through `try_update`.
-        let frontier = sub.clone();
         let ctx = self.push_ctx(st, a, epoch, push);
-        ctx.propagate_into(frontier, &mut result);
-        EngineStats::add(&self.stats.edges_relaxed, result.edges_relaxed);
-        Self::collect_changes(a, result.changed)
+        ctx.propagate_into(sub, &mut result);
+        self.finish(a, result)
     }
 }
 

@@ -11,14 +11,35 @@
 //!
 //! Both of the paper's structures live in one append-only log of
 //! fixed-size segments ([`SEGMENT_ENTRIES`] entries each). Recording a
-//! version appends one [`UndoEntry`] per changed vertex — `(vertex,
-//! version, old value, old parent, index of this vertex's previous
-//! entry)` — and stores the new entry's index in the per-vertex *head*
-//! table (8 B per vertex). The `prev` links are the paper's
-//! new-to-old list; a version's entries are contiguous, so a
-//! `(version → first entry, count)` row per recording version is its
-//! sparse array. An entry is never written again once appended: no
-//! allocation per version, no search, no memmove.
+//! version appends one 36-byte [`UndoEntry`] per changed vertex —
+//! `(vertex, old value, old parent src, old parent weight, distance
+//! back to this vertex's previous entry)` — and stores the new entry's
+//! index in the per-vertex *head* table (8 B per vertex). The
+//! back-links are the paper's new-to-old list; a version's entries are
+//! contiguous, so a `(version → first entry, count)` row per recording
+//! version is its sparse array. An entry is never written again once
+//! appended: no allocation per version, no search, no memmove.
+//!
+//! Every entry stands alone: it holds the whole state its change
+//! overwrote, so a read needs the one entry it lands on and nothing
+//! about that entry's neighbours or about how the live tree got where
+//! it is (a rolled-back transaction may move a live parent pointer
+//! between equal candidates without recording anything). **What an
+//! entry does not store** is what its position already says.
+//!
+//! * Its *version*: versions ascend with log index, so the version rows
+//!   already say which index range belongs to which version, and a read
+//!   turns its version into a *cut index* once instead of comparing a
+//!   stored version at every hop (below).
+//! * Its previous entry's *absolute index*: the link is a `u32`
+//!   distance back, `0` for "none". A distance that does not fit is
+//!   stored saturated (`u32::MAX`) and also reads as "none" — the
+//!   resident window is held below 2³² − 1 entries (asserted in
+//!   `record`; that many entries are 144 GiB), so an entry that far
+//!   back has been dropped and no readable version can need it.
+//!
+//! Vertex ids, values and weights stay 64-bit (ids.rs, §6.4): with
+//! `packed(4)` an entry is 4 × 8 + 4 = 36 bytes.
 //!
 //! **Why undo (old) values.** The newest state of every vertex is
 //! already in the engine's tree, so the log only has to say what a
@@ -34,10 +55,23 @@
 //! version. Callers read it from the engine under the read side of the
 //! gate that the unsafe phase holds exclusively across apply + `record`
 //! (`Session::get_value`, `Replica::get_value`), so the live value and
-//! the log are always one consistent cut.
+//! the log are always one consistent cut. The one thing the log never
+//! sees is a rolled-back transaction: it re-derives the old values, but
+//! may settle a parent pointer on another, equally good edge, and the
+//! versions since that vertex's last recorded change then read the new
+//! pointer (ROADMAP, G).
 //!
-//! **Read cost** is the number of changes to `v` after the queried
-//! version (the paper's newest-to-oldest walk): one probe for a vertex
+//! **Reads walk down to a cut index.** A read at version `q` undoes
+//! every change of `v` that belongs to a version `> q`. One binary
+//! search over the version rows gives `cut`, the log index where the
+//! first version newer than `q` starts (skipped when `v` has no
+//! resident entry at all); the walk then follows `v`'s back-links from
+//! its head while the index stays `>= cut`. The state at `q` is what
+//! the last entry visited overwrote; with none, the live one. Every
+//! index at or above `cut` is resident, because rows — and with them
+//! segments — are only dropped below the watermark and `q` is at or
+//! above it. The cost is the number of changes to `v` after `q`
+//! (the paper's newest-to-oldest walk): one probe for a vertex
 //! unchanged since then, short for the recent versions the API hands
 //! out, and bounded by the resident window for any readable version.
 //!
@@ -59,27 +93,51 @@ use crate::tree::Value;
 /// Entries per log segment — the allocation and GC granule.
 pub const SEGMENT_ENTRIES: usize = 4096;
 
-/// "No previous entry" / "no parent".
+/// "No entry" in the head table / "no parent".
 const NIL: u64 = u64::MAX;
 
+/// [`UndoEntry::back`] of a vertex's first entry.
+const NO_BACK: u32 = 0;
+
 /// What one change overwrote: the state of `vertex` at every version
-/// from its previous change up to `version - 1`.
+/// from its previous change up to the one before the entry's own.
+/// Packed to 36 bytes; fields are only ever copied out, never borrowed.
 #[derive(Debug, Clone, Copy)]
+#[repr(C, packed(4))]
 struct UndoEntry {
     vertex: VertexId,
-    version: VersionId,
     old: Value,
     /// Source of the old parent edge `(src → vertex)`, [`NIL`] if none.
     old_parent_src: VertexId,
     old_parent_data: Weight,
-    /// Log index of this vertex's previous (older) entry, or [`NIL`].
-    prev: u64,
+    /// How many log entries back this vertex's previous (older) entry
+    /// is: [`NO_BACK`] if it has none, `u32::MAX` if it is at least
+    /// that far back (see the module doc — then it is no longer
+    /// resident, which reads the same).
+    back: u32,
 }
 
 impl UndoEntry {
+    /// The link from an entry at log index `at` to the entry `head`
+    /// names.
+    fn back_to(head: u64, at: u64) -> u32 {
+        if head == NIL {
+            NO_BACK
+        } else {
+            u32::try_from(at - head).unwrap_or(u32::MAX)
+        }
+    }
+
+    /// Log index of the previous entry of this vertex, given this
+    /// entry's own; `None` when there is none within reach.
+    fn previous(&self, at: u64) -> Option<u64> {
+        let back = self.back;
+        (back != NO_BACK && back != u32::MAX).then(|| at - back as u64)
+    }
+
     fn old_parent(&self) -> Option<Edge> {
-        (self.old_parent_src != NIL)
-            .then(|| Edge::new(self.old_parent_src, self.vertex, self.old_parent_data))
+        let src = self.old_parent_src;
+        (src != NIL).then(|| Edge::new(src, self.vertex, self.old_parent_data))
     }
 }
 
@@ -131,14 +189,14 @@ impl HistoryStore {
     /// The resident entry at log index `idx`, `None` if it was dropped
     /// (or `idx` is [`NIL`]).
     #[inline]
-    fn entry(&self, idx: u64) -> Option<&UndoEntry> {
+    fn entry(&self, idx: u64) -> Option<UndoEntry> {
         // One compare covers NIL, dropped and resident indices alike.
         let rel = idx.wrapping_sub(self.base);
         if rel >= self.next - self.base {
             return None;
         }
         let rel = rel as usize;
-        Some(&self.segments[rel / SEGMENT_ENTRIES][rel % SEGMENT_ENTRIES])
+        Some(self.segments[rel / SEGMENT_ENTRIES][rel % SEGMENT_ENTRIES])
     }
 
     /// Record the changes of `version` (newer than every recorded one):
@@ -148,6 +206,11 @@ impl HistoryStore {
             return;
         }
         debug_assert!(self.versions.back().is_none_or(|r| r.version < version));
+        // What lets a saturated back-link read as "none".
+        assert!(
+            self.next - self.base + (changes.len() as u64) < u32::MAX as u64,
+            "resident history window reached 2^32 entries"
+        );
         let first = self.next;
         for c in changes {
             self.ensure_capacity(c.vertex as usize + 1);
@@ -165,11 +228,10 @@ impl HistoryStore {
                 .expect("a segment with room was just ensured")
                 .push(UndoEntry {
                     vertex: c.vertex,
-                    version,
                     old: c.old,
                     old_parent_src,
                     old_parent_data,
-                    prev: *head,
+                    back: UndoEntry::back_to(*head, self.next),
                 });
             *head = self.next;
             self.next += 1;
@@ -181,22 +243,29 @@ impl HistoryStore {
         });
     }
 
-    /// The oldest undo entry of `v` newer than `version`, i.e. the state
-    /// `v` had at `version` if it changed since.
-    fn undo_at(&self, version: VersionId, v: VertexId) -> Result<Option<&UndoEntry>> {
+    /// The oldest undo entry of `v` that belongs to a version newer than
+    /// `version`, i.e. the state `v` had at `version` if it changed
+    /// since.
+    fn undo_at(&self, version: VersionId, v: VertexId) -> Result<Option<UndoEntry>> {
         if version < self.low_watermark {
             return Err(Error::VersionNotFound(version));
         }
+        // No resident entry (never changed, or changed only below the
+        // watermark): nothing to undo, and no need for the cut.
+        let head = self.heads.get(v as usize).copied().unwrap_or(NIL);
+        if self.entry(head).is_none() {
+            return Ok(None);
+        }
+        // Entries of versions newer than `version` start here; all of
+        // them are resident (module doc).
+        let newer = self.versions.partition_point(|r| r.version <= version);
+        let cut = self.versions.get(newer).map_or(self.next, |r| r.first);
         let mut found = None;
-        let mut idx = self.heads.get(v as usize).copied().unwrap_or(NIL);
-        // A dropped entry ends the walk like an old one does: dropped
-        // entries are older than the watermark, hence than `version`.
-        while let Some(e) = self.entry(idx) {
-            if e.version <= version {
-                break;
-            }
-            found = Some(e);
-            idx = e.prev;
+        let mut next = Some(head);
+        while let Some(idx) = next.filter(|&idx| idx >= cut) {
+            let entry = self.entry(idx).expect("entries above the cut are resident");
+            next = entry.previous(idx);
+            found = Some(entry);
         }
         Ok(found)
     }
@@ -218,7 +287,7 @@ impl HistoryStore {
     ) -> Result<Option<Edge>> {
         Ok(self
             .undo_at(version, v)?
-            .map_or(current, UndoEntry::old_parent))
+            .map_or(current, |e| e.old_parent()))
     }
 
     /// Vertices modified by exactly `version` (empty for versions that
@@ -348,6 +417,38 @@ mod tests {
         assert_eq!(h.parent_at(5, 1, Some(Edge::new(3, 1, 2))).unwrap(), live);
     }
 
+    /// A change that kept its parent still stores it: the live parent
+    /// may since have moved between equal candidates with no record (a
+    /// rolled-back transaction), and a read through the entry must not
+    /// depend on it.
+    #[test]
+    fn an_entry_answers_without_its_neighbours() {
+        let (a, b) = (Edge::new(3, 1, 2), Edge::new(4, 1, 9));
+        let change = |old, new, old_parent, new_parent| ChangeRecord {
+            vertex: 1,
+            old,
+            new,
+            old_parent,
+            new_parent,
+        };
+        let mut h = HistoryStore::new(8);
+        h.record(2, &[change(100, 90, None, Some(a))]);
+        h.record(4, &[change(90, 80, Some(a), Some(a))]);
+        h.record(6, &[change(80, 70, Some(a), Some(a))]);
+        // The live parent is `b` although no recorded change moved it.
+        let want = [
+            (1, 100, None),
+            (2, 90, Some(a)),
+            (3, 90, Some(a)),
+            (5, 80, Some(a)),
+            (6, 70, Some(b)),
+        ];
+        for (q, value, parent) in want {
+            assert_eq!(h.value_at(q, 1, 70).unwrap(), value, "value at {q}");
+            assert_eq!(h.parent_at(q, 1, Some(b)).unwrap(), parent, "parent at {q}");
+        }
+    }
+
     #[test]
     fn modified_vertices_per_version() {
         let mut h = HistoryStore::new(8);
@@ -433,5 +534,51 @@ mod tests {
         h.collect(SEGMENT_ENTRIES as u64 + 1);
         assert_eq!(before - h.memory_bytes() as i64, one_segment);
         assert_eq!(h.chain_entries(), SEGMENT_ENTRIES + 1);
+    }
+
+    #[test]
+    fn back_links_saturate_to_none() {
+        assert_eq!(std::mem::size_of::<UndoEntry>(), 36);
+        let entry = |back| UndoEntry {
+            vertex: 1,
+            old: 0,
+            old_parent_src: NIL,
+            old_parent_data: 0,
+            back,
+        };
+        // A first entry, a near one, the farthest one that still fits.
+        assert_eq!(UndoEntry::back_to(NIL, 10), NO_BACK);
+        assert_eq!(entry(NO_BACK).previous(10), None);
+        assert_eq!(UndoEntry::back_to(7, 10), 3);
+        assert_eq!(entry(3).previous(10), Some(7));
+        let far = u32::MAX as u64 - 1;
+        assert_eq!(UndoEntry::back_to(5, 5 + far), u32::MAX - 1);
+        assert_eq!(entry(u32::MAX - 1).previous(5 + far), Some(5));
+        // One farther, and anything beyond, saturates and reads as none.
+        assert_eq!(UndoEntry::back_to(5, 6 + far), u32::MAX);
+        assert_eq!(UndoEntry::back_to(5, 1 << 40), u32::MAX);
+        assert_eq!(entry(u32::MAX).previous(1 << 40), None);
+    }
+
+    /// A log that has already dropped 2³³ entries: vertex 1's previous
+    /// entry is too far back to name, vertex 2's is nameable but below
+    /// `base`. Both walks end at the one resident entry.
+    #[test]
+    fn saturated_link_reads_like_a_dropped_one() {
+        let base = (1u64 << 33) + SEGMENT_ENTRIES as u64;
+        let mut h = HistoryStore::new(4);
+        (h.base, h.next) = (base, base);
+        h.heads[1] = 5;
+        h.heads[2] = base - 10;
+        h.collect(40);
+        h.record(50, &[rec(1, 11, 12), rec(2, 21, 22)]);
+        let back = |i: usize| h.segments[0][i].back;
+        assert_eq!((back(0), back(1)), (u32::MAX, 11));
+        for q in 40..50 {
+            assert_eq!(h.value_at(q, 1, 12).unwrap(), 11);
+            assert_eq!(h.value_at(q, 2, 22).unwrap(), 21);
+        }
+        assert_eq!(h.value_at(50, 1, 12).unwrap(), 12);
+        assert_eq!(h.value_at(50, 2, 22).unwrap(), 22);
     }
 }

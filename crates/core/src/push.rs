@@ -5,17 +5,44 @@
 //! relaxes their out-edges (plus in-edges for undirected algorithms)
 //! until no value improves. Three execution strategies:
 //!
-//! * **sequential** — when the frontier carries few edges (the common
-//!   per-update case: affected areas are tiny, §7), a plain worklist
-//!   avoids every parallelization overhead;
+//! * **sequential** — the common per-update case (affected areas are
+//!   tiny, §7): a plain worklist that avoids every parallelization
+//!   overhead;
 //! * **vertex-parallel** — workers claim chunks of frontier vertices;
 //! * **edge-parallel** — the concatenated edge ranges of the frontier
 //!   are split evenly, which wins on skewed frontiers dominated by hubs
 //!   (Figure 7's top-left region).
 //!
-//! The per-iteration choice between the two parallel modes is made by
-//! the linear classifier; callers can force a mode to reproduce the
-//! Figure 13 ablation.
+//! # Budget, then escalate
+//!
+//! Whether an affected area is large enough to pay for parallelism is
+//! decided by the work it turns out to need, not by a guess made on
+//! its first frontier. Every frontier of at most
+//! [`PushConfig::sequential_grain`] vertices starts on the sequential
+//! worklist with a budget of `sequential_grain` relaxed edges. Most
+//! updates reach their fixpoint inside it and never touch the worker
+//! pool or a bitmap. On backends that can count a vertex's edges
+//! without scanning them, the stage also stops *before* a vertex whose
+//! edges alone overrun what is left of the budget, so a hub is never
+//! walked by the calling thread.
+//!
+//! When the stage stops, what is left of the worklist — sorted and
+//! deduplicated — is escalated only if there is something to share
+//! out: more vertices than one worker's chunk
+//! ([`PushConfig::parallel_grain`]), or more edge mass than a whole
+//! budget (the hub). Otherwise it simply gets a fresh budget; a long
+//! chain leaves a single vertex each time and never sees the pool. An
+//! escalated worklist becomes the frontier of a parallel iteration:
+//! pull when it covers more than [`PushConfig::pull_threshold`] of the
+//! vertices, otherwise vertex- or edge-parallel as the linear
+//! classifier chooses from the frontier's size and edge mass (callers
+//! can force a mode to reproduce the Figure 13 ablation, whose bins set
+//! `sequential_grain = 0` and so go straight to it). A parallel
+//! iteration whose output frontier is small again gets a fresh budget.
+//! So a one-vertex frontier that explodes is bounded by the budget
+//! before it goes parallel, and a frontier of half the vertices of a
+//! 512-vertex graph costs 512 relaxations, not a round trip through
+//! the pool. `sequential_grain = usize::MAX` never escalates.
 //!
 //! Propagation only ever runs inside the epoch loop's *serial* unsafe
 //! phase (or during loads/recovery), never concurrently with the
@@ -36,8 +63,10 @@ use crate::tree::{TreeStore, Value, VertexState};
 /// Tuning knobs for propagation.
 #[derive(Debug, Clone)]
 pub struct PushConfig {
-    /// Frontier out-edge budget below which propagation stays
-    /// sequential.
+    /// A frontier of at most this many vertices starts on the
+    /// sequential worklist, which may relax this many edges before the
+    /// rest of it goes to the parallel modes (`0`: always parallel;
+    /// `usize::MAX`: always sequential).
     pub sequential_grain: usize,
     /// Chunk size handed to pool workers.
     pub parallel_grain: usize,
@@ -86,6 +115,9 @@ pub(crate) struct PushResult {
     pub changed: Vec<(VertexId, VertexState)>,
     /// Parallel iterations executed (0 when fully sequential).
     pub iterations: usize,
+    /// Times a sequential stage stopped on its budget with enough left
+    /// to hand to the parallel modes.
+    pub escalations: u64,
     /// Edges relaxed (diagnostics; drives Figure 7 sample collection).
     pub edges_relaxed: u64,
 }
@@ -154,33 +186,51 @@ impl<'a, G: DynamicGraph> PushCtx<'a, G> {
         relaxed
     }
 
-    /// Frontier edge mass: scan-position counts (backends may include
+    /// Edge mass of `v`: scan-position counts (backends may include
     /// tombstones — they bound the scan work, which is what load
-    /// balancing needs). Stops counting once the sum exceeds `cap`:
-    /// on backends without positional scans, `out_slots` itself costs
-    /// a degree scan, and past the sequential-grain threshold the
-    /// exact number no longer influences any decision there.
-    fn frontier_slots(&self, frontier: &[VertexId], cap: usize) -> usize {
-        let mut total = 0usize;
-        for &v in frontier {
-            total += self.store.out_slots(v);
-            if self.undirected() {
-                total += self.store.in_slots(v);
-            }
-            if total > cap {
-                return total;
-            }
+    /// balancing needs).
+    fn slots(&self, v: VertexId) -> usize {
+        let out = self.store.out_slots(v);
+        if self.undirected() {
+            out + self.store.in_slots(v)
+        } else {
+            out
         }
-        total
     }
 
-    /// Fully sequential worklist propagation.
-    fn run_sequential(&self, mut work: Vec<VertexId>, result: &mut PushResult) {
+    fn frontier_slots(&self, frontier: &[VertexId]) -> usize {
+        frontier.iter().map(|&v| self.slots(v)).sum()
+    }
+
+    /// Sequential worklist propagation until the fixpoint or until
+    /// `budget` edges were relaxed, whichever comes first; returns the
+    /// worklist that is left (empty at the fixpoint). Where counting a
+    /// vertex's edges is cheap (positional backends), a vertex that
+    /// alone would overrun what is left of the budget is not started
+    /// but left on the worklist: a hub's edges are for the edge-parallel
+    /// mode to split, not for the calling thread to walk.
+    fn run_sequential(
+        &self,
+        mut work: Vec<VertexId>,
+        budget: usize,
+        result: &mut PushResult,
+    ) -> Vec<VertexId> {
+        let count_first = self.store.has_positional_scans();
         let mut changed = std::mem::take(&mut result.changed);
+        let mut spent = 0u64;
         while let Some(v) = work.pop() {
-            result.edges_relaxed += self.relax_from(v, &mut work, &mut changed);
+            if count_first && self.slots(v) as u64 > budget as u64 - spent {
+                work.push(v);
+                break;
+            }
+            spent += self.relax_from(v, &mut work, &mut changed);
+            if spent >= budget as u64 {
+                break;
+            }
         }
+        result.edges_relaxed += spent;
         result.changed = changed;
+        work
     }
 
     fn run_vertex_parallel(&self, frontier: &[VertexId], bufs: &[Mutex<WorkerBuf>]) {
@@ -322,79 +372,69 @@ impl<'a, G: DynamicGraph> PushCtx<'a, G> {
     /// Like [`Self::propagate`] but appends into an existing result
     /// (deletion recovery seeds `changed` with reset records first).
     pub(crate) fn propagate_into(&self, mut frontier: Vec<VertexId>, result: &mut PushResult) {
+        let grain = self.config.sequential_grain;
         loop {
-            if frontier.is_empty() {
-                return;
+            if frontier.len() <= grain {
+                frontier = self.run_sequential(frontier, grain, result);
+                if frontier.is_empty() {
+                    return;
+                }
+                // A vertex improved twice sits on the worklist twice.
+                frontier.sort_unstable();
+                frontier.dedup();
+                // Budget spent. What is left is worth the pool only if
+                // there is something to share out: more vertices than
+                // one worker's chunk (or than this stage accepts), or
+                // more edges than a whole budget (a hub; that bound is
+                // also what lets a fresh budget start its first
+                // vertex). A long chain leaves one vertex every time
+                // and just carries on.
+                let share_out = frontier.len() > self.config.parallel_grain.min(grain)
+                    || (self.store.has_positional_scans()
+                        && self.frontier_slots(&frontier) > grain);
+                if !share_out {
+                    continue;
+                }
+                result.escalations += 1;
             }
-            // Dense-frontier fast path: pull (skipped under forced push
-            // modes so the Figure 13 ablations measure pure push).
+            // Dense frontiers pull (skipped under forced push modes so
+            // the Figure 13 ablations measure pure push).
             let cap = self.store.capacity().max(1);
-            if self.config.forced_mode.is_none()
-                && frontier.len() as f64 > self.config.pull_threshold * cap as f64
-            {
-                let threads = self.pool.threads();
-                let mut bufs: Vec<Mutex<WorkerBuf>> = Vec::with_capacity(threads);
-                for _ in 0..threads {
-                    bufs.push(Mutex::new(WorkerBuf {
+            let pull = self.config.forced_mode.is_none()
+                && frontier.len() as f64 > self.config.pull_threshold * cap as f64;
+            let bufs: Vec<Mutex<WorkerBuf>> = (0..self.pool.threads())
+                .map(|_| {
+                    Mutex::new(WorkerBuf {
                         next: Vec::new(),
                         changed: Vec::new(),
                         edges: 0,
-                    }));
-                }
+                    })
+                })
+                .collect();
+            if pull {
                 self.run_pull_iteration(&frontier, &bufs);
-                result.iterations += 1;
-                let mut next = Vec::new();
-                for buf in bufs {
-                    let buf = buf.into_inner();
-                    next.extend(buf.next);
-                    result.changed.extend(buf.changed);
-                    result.edges_relaxed += buf.edges;
-                }
-                next.sort_unstable();
-                next.dedup();
-                frontier = next;
-                continue;
-            }
-            // Positional backends count slots in O(1) per vertex — take
-            // the exact mass for the classifier. Others pay a degree
-            // scan per vertex, and their mode is pinned to
-            // vertex-parallel anyway, so counting stops at the
-            // sequential-grain threshold.
-            let count_cap = if self.store.has_positional_scans() {
-                usize::MAX
             } else {
-                self.config.sequential_grain
-            };
-            let slots = self.frontier_slots(&frontier, count_cap);
-            if slots <= self.config.sequential_grain {
-                self.run_sequential(frontier, result);
-                return;
-            }
-            let mode = self.config.forced_mode.unwrap_or_else(|| {
-                // Edge-parallel partitions positional sub-ranges of each
-                // vertex's edges; on backends without O(range) positional
-                // scans (IO_*, OOC) every chunk would rescan the whole
-                // adjacency, so the hybrid choice stays vertex-parallel
-                // there. Forced modes (Figure 13 ablations, tests) are
-                // honoured — the range scans are correct, just slower.
-                if self.store.has_positional_scans() {
-                    self.config.classifier.choose(frontier.len(), slots)
-                } else {
-                    PushMode::VertexParallel
+                let mode = self.config.forced_mode.unwrap_or_else(|| {
+                    // Edge-parallel partitions positional sub-ranges of
+                    // each vertex's edges; on backends without O(range)
+                    // positional scans (IO_*, OOC) every chunk would
+                    // rescan the whole adjacency — and counting slots
+                    // there is itself a degree scan — so the hybrid
+                    // choice stays vertex-parallel. Forced modes
+                    // (Figure 13 ablations, tests) are honoured — the
+                    // range scans are correct, just slower.
+                    if self.store.has_positional_scans() {
+                        self.config
+                            .classifier
+                            .choose(frontier.len(), self.frontier_slots(&frontier))
+                    } else {
+                        PushMode::VertexParallel
+                    }
+                });
+                match mode {
+                    PushMode::VertexParallel => self.run_vertex_parallel(&frontier, &bufs),
+                    PushMode::EdgeParallel => self.run_edge_parallel(&frontier, &bufs),
                 }
-            });
-            let threads = self.pool.threads();
-            let mut bufs: Vec<Mutex<WorkerBuf>> = Vec::with_capacity(threads);
-            for _ in 0..threads {
-                bufs.push(Mutex::new(WorkerBuf {
-                    next: Vec::new(),
-                    changed: Vec::new(),
-                    edges: 0,
-                }));
-            }
-            match mode {
-                PushMode::VertexParallel => self.run_vertex_parallel(&frontier, &bufs),
-                PushMode::EdgeParallel => self.run_edge_parallel(&frontier, &bufs),
             }
             result.iterations += 1;
             let mut next = Vec::new();
@@ -674,6 +714,111 @@ mod pull_tests {
                 }
             }
         }
+    }
+
+    /// The small-graph misfire: a tree-edge delete on a 256-chain
+    /// invalidates 255 vertices, which is more than `pull_threshold` of
+    /// a 512-slot store but only 510 relaxations — far inside the
+    /// default budget, so the worker pool must not be touched.
+    #[test]
+    fn half_the_vertices_of_a_small_graph_stay_sequential() {
+        let store = GraphStore::<HashIndex>::with_capacity(512);
+        for v in 0..255u64 {
+            store.insert_edge(E::new(v, v + 1, 0)).unwrap();
+        }
+        let pool = Arc::new(WorkerPool::new(2));
+        let alg = Wcc::new();
+        let tree = TreeStore::new(512, move |v| alg.init_val(v));
+        let config = PushConfig::default();
+        let ctx = |epoch| PushCtx {
+            store: &store,
+            alg: &alg,
+            tree: &tree,
+            pool: &pool,
+            config: &config,
+            epoch,
+        };
+        ctx(1).propagate((0..256).collect());
+        assert!((0..256).all(|v| tree.value(v) == 0));
+        // What the engine does for `DelEdge(0, 1)`: the subtree below
+        // the edge goes back to its initial labels, each vertex is
+        // re-seeded from its neighbours in discovery order, and the
+        // whole subtree is the frontier.
+        store.delete_edge(E::new(0, 1, 0)).unwrap();
+        for v in 1..256 {
+            tree.reset(v, 2);
+        }
+        for v in 2..256 {
+            let cand = tree.value(v - 1);
+            tree.try_update(v, Some((v - 1, 0)), 2, |cur| (cand < cur).then_some(cand));
+        }
+        let result = ctx(2).propagate((1..256).collect());
+        assert_eq!(result.iterations, 0, "went through the worker pool");
+        assert_eq!(result.escalations, 0);
+        assert_eq!(result.edges_relaxed, 2 * 254);
+        assert!((1..256).all(|v| tree.value(v) == 1));
+    }
+
+    fn bfs_from_zero(
+        store: &GraphStore<HashIndex>,
+        vertices: usize,
+        config: &PushConfig,
+    ) -> (PushResult, Vec<u64>) {
+        let pool = Arc::new(WorkerPool::new(2));
+        let alg = Bfs::new(0);
+        let tree = TreeStore::new(vertices, move |v| alg.init_val(v));
+        let ctx = PushCtx {
+            store,
+            alg: &alg,
+            tree: &tree,
+            pool: &pool,
+            config,
+            epoch: 1,
+        };
+        let result = ctx.propagate(vec![0]);
+        let values = (0..vertices as u64).map(|v| tree.value(v)).collect();
+        (result, values)
+    }
+
+    /// A spent budget with one vertex left is nothing to share out: a
+    /// chain far longer than the budget gets a fresh one each time and
+    /// never sees the pool.
+    #[test]
+    fn a_long_chain_outlives_its_budget_sequentially() {
+        let store = GraphStore::<HashIndex>::with_capacity(256);
+        for v in 0..200u64 {
+            store.insert_edge(E::new(v, v + 1, 0)).unwrap();
+        }
+        let config = PushConfig {
+            sequential_grain: 16,
+            ..PushConfig::default()
+        };
+        let (result, values) = bfs_from_zero(&store, 256, &config);
+        assert_eq!((result.iterations, result.escalations), (0, 0));
+        assert_eq!(result.edges_relaxed, 200);
+        assert!((0..=200).all(|v| values[v] == v as u64));
+    }
+
+    /// A one-vertex frontier whose vertex has more edges than the whole
+    /// budget is not walked by the calling thread: it is escalated
+    /// untouched, so the pool runs one iteration over the hub and one
+    /// over its (edgeless) neighbours.
+    #[test]
+    fn a_hub_is_escalated_before_it_is_relaxed() {
+        let store = GraphStore::<HashIndex>::with_capacity(128);
+        for leaf in 1..=100u64 {
+            store.insert_edge(E::new(0, leaf, 0)).unwrap();
+        }
+        let config = PushConfig {
+            sequential_grain: 32,
+            parallel_grain: 16,
+            pull_threshold: 1.0,
+            ..PushConfig::default()
+        };
+        let (result, values) = bfs_from_zero(&store, 128, &config);
+        assert_eq!((result.iterations, result.escalations), (2, 1));
+        assert_eq!(result.edges_relaxed, 100);
+        assert!((1..=100).all(|v| values[v] == 1));
     }
 
     #[test]

@@ -697,6 +697,10 @@ impl Server {
         // its cells instead of threading fields through by hand.
         let metrics = Arc::new(Registry::new());
         let tracer = Arc::new(EpochTracer::new(config.trace_slow_epoch, &metrics));
+        metrics.adopt_counter(
+            "core.push.escalations",
+            Arc::clone(&engine.stats().push_escalations),
+        );
 
         let feed = (config.max_followers > 0)
             .then(|| Arc::new(ReplicationFeed::new(config.max_followers)));

@@ -6,7 +6,11 @@
 //! `VersionNotFound` below it. The deterministic cases force the edges
 //! of the segmented log: a version straddling two segments, a
 //! collection landing exactly on a segment boundary, a vertex whose
-//! only entries were dropped, capacity growth mid-stream.
+//! only entries were dropped, capacity growth mid-stream, and every
+//! resident version of every vertex read across two segment drops whose
+//! watermarks fall on versions that recorded nothing. Live parents also
+//! move with no record (a rolled-back transaction does that), which no
+//! read of an older version may notice.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -32,7 +36,7 @@ struct Model {
 
 impl Model {
     fn new(store_capacity: usize, vertices: usize) -> Self {
-        let live: Vec<State> = (0..vertices as u64).map(|v| (1_000 + v, None)).collect();
+        let live: Vec<State> = (0..vertices as u64).map(|v| (v, None)).collect();
         Model {
             store: HistoryStore::new(store_capacity),
             snapshots: vec![live.clone()],
@@ -59,9 +63,16 @@ impl Model {
             .iter()
             .map(|&v| {
                 let (old, old_parent) = self.live[v as usize];
-                let new_parent = rng
-                    .gen_bool(0.8)
-                    .then(|| Edge::new(rng.gen_range(0..64), v, rng.gen_range(0..9)));
+                // Four changes in ten keep their parent (a value
+                // re-derived through the same tree edge), the rest move
+                // it to a random edge or to nothing.
+                let new_parent = if rng.gen_bool(0.4) {
+                    old_parent
+                } else {
+                    rng.gen_bool(0.8)
+                        .then(|| Edge::new(rng.gen_range(0..64), v, rng.gen_range(0..9)))
+                };
+                // Unlike every earlier value of `v`, the initial one included.
                 let new = version * 1_000 + v;
                 self.live[v as usize] = (new, new_parent);
                 ChangeRecord {
@@ -76,6 +87,22 @@ impl Model {
         self.store.record(version, &changes);
         self.snapshots.push(self.live.clone());
         self.modified.push(vertices.to_vec());
+    }
+
+    /// The live parent of `v` moves with no record, as when a rolled-back
+    /// transaction settles on an equal candidate: versions since `v`'s
+    /// last change read the live state, older ones must not notice.
+    fn drift(&mut self, v: VertexId, rng: &mut StdRng) {
+        let v = v as usize;
+        let value = self.live[v].0;
+        let parent = Some(Edge::new(rng.gen_range(64..128), v as u64, 0));
+        self.live[v].1 = parent;
+        for snapshot in self.snapshots.iter_mut().rev() {
+            if snapshot[v].0 != value {
+                break;
+            }
+            snapshot[v].1 = parent;
+        }
     }
 
     fn collect(&mut self, watermark: VersionId) {
@@ -148,6 +175,7 @@ fn random_schedules_agree_with_snapshot_oracle() {
             let universe = (4 + step / 4).min(VERTICES);
             match rng.gen_range(0..100) {
                 0..=11 => m.bump(),
+                20..=23 => m.drift(rng.gen_range(0..universe as u64), &mut rng),
                 12..=19 => {
                     // Anywhere from a no-op (≤ current watermark) to
                     // past the newest version (everything dead).
@@ -253,4 +281,84 @@ fn vertex_whose_only_entries_were_dropped_answers_live() {
     // read as "nothing older".
     m.record(&[39], &mut rng);
     m.check();
+}
+
+/// A read turns its version into a cut index through the version rows.
+/// Here only every other version records (the others are safe updates),
+/// each recording version is 700 entries — so the segment boundaries
+/// fall *inside* versions 11 and 23 — and both collections land on a
+/// version without a row, behind a version that straddles a boundary.
+/// After each step every resident version of every vertex is read: a
+/// cut that is off by one row answers a whole version's worth of
+/// vertices from the wrong side of a change.
+#[test]
+fn every_resident_version_reads_right_across_two_segment_drops() {
+    let mut rng = StdRng::seed_from_u64(4);
+    let per_version = 700;
+    let mut m = Model::new(16, 1_024);
+    let mut record_pairs = |m: &mut Model, pairs: usize| {
+        for _ in 0..pairs {
+            let vs = pick(1_024, per_version, &mut rng);
+            m.record(&vs, &mut rng);
+            m.bump();
+        }
+    };
+    // Versions 1, 3, …, 27 record; entries 0..9800, 2.4 segments.
+    record_pairs(&mut m, 14);
+    assert!(5 * per_version < SEGMENT_ENTRIES && SEGMENT_ENTRIES < 6 * per_version);
+    m.check();
+    let three_segments = m.store.memory_bytes();
+
+    // Watermark 12 recorded nothing; version 11, just below it, owns
+    // entries 3500..4200. Its row goes, segment 0 goes with it, and
+    // the log now starts with version 11's dead younger half.
+    m.collect(12);
+    let two_segments = m.store.memory_bytes();
+    assert!(two_segments < three_segments, "segment 0 was not dropped");
+    assert_eq!(m.store.chain_entries(), 14 * per_version - 6 * per_version);
+    m.check();
+
+    // More history on top of the shortened log, then the same again one
+    // segment later: version 23 owns 7700..8400.
+    record_pairs(&mut m, 6);
+    m.check();
+    let before = m.store.memory_bytes();
+    m.collect(24);
+    assert_eq!(
+        before - m.store.memory_bytes(),
+        three_segments - two_segments,
+        "exactly segment 1 goes"
+    );
+    m.check();
+
+    // Every vertex changes once more: each new entry links back over
+    // whatever the drops left of its chain.
+    let all: Vec<VertexId> = (0..1_024).collect();
+    m.record(&all, &mut rng);
+    m.check();
+}
+
+/// The log's footprint per entry, in the layer harness's shape (2 000
+/// versions of 64 changes): 36-byte entries plus the head table, the
+/// version rows and the unfilled tail of the last segment.
+#[test]
+fn resident_bytes_per_entry_stay_within_38() {
+    const VERTICES: u64 = 8_192;
+    let mut store = HistoryStore::new(VERTICES as usize);
+    for version in 1..=2_000u64 {
+        let changes: Vec<ChangeRecord> = (0..64)
+            .map(|k| ChangeRecord {
+                vertex: (version * 131 + k * 7) % VERTICES,
+                old: version,
+                new: version + 1,
+                old_parent: None,
+                new_parent: Some(Edge::new(0, 1, version)),
+            })
+            .collect();
+        store.record(version, &changes);
+    }
+    let entries = store.chain_entries();
+    assert_eq!(entries, 2_000 * 64);
+    let per_entry = store.memory_bytes() as f64 / entries as f64;
+    assert!(per_entry <= 38.0, "{per_entry:.1} bytes per entry");
 }

@@ -293,6 +293,41 @@ fn unsafe_txn_rollback_restores_results() {
     srv.shutdown();
 }
 
+/// A rolled-back transaction re-derives results and records nothing, so
+/// it may leave a live parent pointer on another, equally good edge —
+/// here 3's, on 2→3 instead of 1→3. A read of a version older than the
+/// vertex's last recorded change must not pick that up: at `v0` vertex
+/// 2 is not even reachable. (From that change on — `v1` here — reads
+/// answer from the live tree, rolled-back moves included; ROADMAP.)
+#[test]
+fn rollback_moving_a_live_parent_does_not_rewrite_older_versions() {
+    let srv: Server = Server::start(
+        vec![Arc::new(Bfs::new(0)) as DynAlgorithm],
+        8,
+        ServerConfig::default(),
+    )
+    .unwrap();
+    srv.load_edges(&[(0, 5, 0), (5, 1, 0), (1, 3, 0), (2, 3, 0)]);
+    let s = srv.session();
+    let v0 = s.get_current_version();
+    // Shortens 3's path through the parent it already has; then 2
+    // becomes as good a parent as 1.
+    let v1 = s.ins_edge(Edge::new(0, 1, 0)).version;
+    let v2 = s.ins_edge(Edge::new(0, 2, 0)).version;
+    let r = s.txn_updates(vec![
+        Update::DelEdge(Edge::new(1, 3, 0)),
+        Update::DelVertex(0),
+    ]);
+    assert!(r.outcome.is_err(), "vertex 0 still has edges");
+    assert_eq!(srv.engine().num_edges(), 6, "structure restored");
+    assert_eq!(s.get_value(0, v0, 3).unwrap(), 3);
+    assert_eq!(s.get_parent(0, v0, 3).unwrap(), Some(Edge::new(1, 3, 0)));
+    for version in [v1, v2] {
+        assert_eq!(s.get_value(0, version, 3).unwrap(), 2);
+    }
+    srv.shutdown();
+}
+
 /// The coordinator's per-session queue table follows the sessions that
 /// have something queued, not every session id it has ever seen: after
 /// 10 000 sessions came, submitted one update each and went, a GC tick
