@@ -43,6 +43,7 @@ pub mod affected;
 pub mod classifier;
 pub mod engine;
 pub mod history;
+mod injector;
 pub mod pool;
 pub mod push;
 pub mod replication;

@@ -11,7 +11,8 @@
 //!   first unsafe update — everything behind it is *next-epoch*, §4),
 //!   executes all safe updates **in parallel across shards**, then
 //!   executes unsafe updates **one by one** (each internally parallel),
-//!   consulting the [`Scheduler`] to bound tail latency.
+//!   consulting the [`Scheduler`] to bound tail latency. A gather pass
+//!   costs what arrived, not what is open (`server/gather.rs`).
 //! * The **sharded safe phase** ([`ServerConfig::shards`]): sessions
 //!   are hash-partitioned over `shards` executors (shard 0 is the
 //!   coordinator itself; shards `1..N` are dedicated worker threads).
@@ -69,7 +70,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use risgraph_common::hash::FxHashMap;
 use risgraph_common::ids::{Edge, Update, VersionId, VertexId};
@@ -84,10 +85,14 @@ use crate::engine::{
     ChangeRecord, ChangeSet, DynAlgorithm, Engine, EngineConfig, SafeApply, Safety,
 };
 use crate::history::HistoryStore;
+use crate::injector::Injector;
 use crate::replication::ReplicationFeed;
 use crate::scheduler::{Scheduler, SchedulerConfig};
 use crate::tree::{Value, VertexState};
 use crate::wal::{read_snapshot, write_snapshot, ResultState, Snapshot, WalWriter};
+
+mod gather;
+use gather::Gather;
 
 /// Server construction parameters.
 #[derive(Clone)]
@@ -485,6 +490,12 @@ pub struct ServerStats {
     /// Session queues the coordinator holds, as of the last GC tick
     /// (which drops the drained ones).
     pub pending_sessions: Arc<Gauge>,
+    /// Session queues the gather stage looked at. A pass visits only
+    /// sessions that received something (plus, in an epoch's first
+    /// pass, those carried over blocked or demoted), so this grows with
+    /// the updates served — at most two visits each — and not with the
+    /// number of sessions open.
+    pub sessions_examined: Arc<Counter>,
     /// Updates executed on the parallel safe path.
     pub safe_executed: Arc<Counter>,
     /// Updates executed on the serial unsafe path.
@@ -558,6 +569,7 @@ impl ServerStats {
             epochs_inline: registry.counter("core.epochs_inline"),
             sync_reply_parks: registry.counter("core.sync_reply_parks"),
             pending_sessions: registry.gauge("core.pending_sessions"),
+            sessions_examined: registry.counter("core.gather.sessions_examined"),
             safe_executed: registry.counter("core.safe_executed"),
             unsafe_executed: registry.counter("core.unsafe_executed"),
             demotions: registry.counter("core.demotions"),
@@ -622,7 +634,9 @@ struct Shared {
     engine: Engine<AnyStore>,
     history: Vec<Mutex<HistoryStore>>,
     version: AtomicU64,
-    injector: Sender<Envelope>,
+    /// The submit side: sessions push, the coordinator takes the whole
+    /// backlog once per gather pass.
+    injector: Injector<Envelope>,
     shutdown: AtomicBool,
     /// Held exclusively during unsafe execution so point-in-time queries
     /// never observe a half-applied update.
@@ -756,14 +770,13 @@ impl Server {
         }
         let wal_path = config.wal_path.clone();
 
-        let (tx, rx) = unbounded();
         let shared = Arc::new(Shared {
             engine,
             history: (0..num_algos)
                 .map(|_| Mutex::new(HistoryStore::new(capacity)))
                 .collect(),
             version: AtomicU64::new(0),
-            injector: tx,
+            injector: Injector::new(),
             shutdown: AtomicBool::new(false),
             query_gate: RwLock::new(()),
             released: Mutex::new(FxHashMap::default()),
@@ -826,7 +839,7 @@ impl Server {
         let coord_feed = feed.clone();
         let coordinator = std::thread::Builder::new()
             .name("risgraph-coordinator".into())
-            .spawn(move || coordinator_loop(coord_shared, rx, config, wal, shards, coord_feed))
+            .spawn(move || coordinator_loop(coord_shared, config, wal, shards, coord_feed))
             .expect("spawn coordinator");
         Ok(Server {
             shared,
@@ -1053,7 +1066,7 @@ impl Session {
             reply: self.reply_tx.clone(),
             waker: self.waker.lock().clone(),
         };
-        self.shared.injector.send(env).map_err(|_| Error::Shutdown)
+        self.shared.injector.push(env).map_err(|_| Error::Shutdown)
     }
 
     /// [`Session::submit_op_tagged`] for a single update.
@@ -1229,9 +1242,10 @@ fn inverse(u: &Update) -> Update {
 }
 
 struct EpochBuf {
-    /// Per-session safe prefixes (executed in-order within a session,
-    /// across sessions in parallel).
-    safe_groups: Vec<(u64, Vec<Envelope>)>,
+    /// The epoch's safe updates, one flat part per configured shard: a
+    /// session always lands on part `session % shards`, so arrival
+    /// order within a part *is* per-session order.
+    safe_parts: Vec<Vec<Envelope>>,
     safe_count: usize,
     /// Unsafe updates in arrival order.
     unsafe_queue: VecDeque<Envelope>,
@@ -1245,8 +1259,8 @@ struct EpochBuf {
 enum ShardJob {
     /// Safe phase: drain a partition of the epoch's safe prefix.
     Safe {
-        /// The per-session safe groups this shard owns for the epoch.
-        groups: Vec<(u64, Vec<Envelope>)>,
+        /// The part this shard owns for the epoch.
+        part: Vec<Envelope>,
         /// The scheduler's latency limit, for qualified-update counting.
         limit: Duration,
     },
@@ -1297,12 +1311,27 @@ struct SafeOutcome {
     /// The replication feed ships this as the epoch's safe version-bump
     /// count so a follower's numbering tracks the leader's.
     applied_ops: u64,
-    /// Unprocessed per-session suffixes (behind a demotion) to requeue.
-    leftovers: Vec<(u64, Vec<Envelope>)>,
+    /// Sessions stopped by a demotion (normally none).
+    stopped: Vec<u64>,
+    /// The demoted updates and everything gathered behind them on their
+    /// sessions, in submission order, to requeue.
+    leftovers: Vec<Envelope>,
     /// Safe updates that completed within the latency limit.
     qualified: u64,
     /// Safe updates served (applied or errored).
     total: u64,
+}
+
+impl SafeOutcome {
+    /// Fold a worker's outcome into the coordinator's own.
+    fn absorb(&mut self, other: SafeOutcome) {
+        self.applied.extend(other.applied);
+        self.applied_ops += other.applied_ops;
+        self.stopped.extend(other.stopped);
+        self.leftovers.extend(other.leftovers);
+        self.qualified += other.qualified;
+        self.total += other.total;
+    }
 }
 
 /// The coordinator's side of one shard worker: a job channel in, an
@@ -1326,7 +1355,11 @@ fn shard_worker_loop(shared: Arc<Shared>, jobs: Receiver<ShardJob>, results: Sen
 /// the coordinator's own inline slice of each phase.
 fn run_shard_job(shared: &Shared, job: ShardJob) -> ShardOutcome {
     match job {
-        ShardJob::Safe { groups, limit } => ShardOutcome::Safe(drain_shard(shared, groups, limit)),
+        ShardJob::Safe { mut part, limit } => {
+            let mut out = SafeOutcome::default();
+            drain_shard(shared, &mut part, limit, &mut out);
+            ShardOutcome::Safe(out)
+        }
         ShardJob::Probe { ops, cap } => ShardOutcome::Probe(
             ops.into_iter()
                 .map(|(idx, updates)| {
@@ -1354,60 +1387,55 @@ fn run_shard_job(shared: &Shared, job: ShardJob) -> ShardOutcome {
     }
 }
 
-/// Serially drain one shard's partition of the epoch's safe prefix.
-/// Runs concurrently with the other shards — safe updates commute, and
-/// [`Engine::try_apply_safe`] revalidates under the store's own locks —
-/// while per-session order holds because a session's whole group lives
-/// on one shard. A demotion stops that session's group; the demoted
-/// update and the unprocessed suffix go back to the session queue via
-/// `leftovers`.
-fn drain_shard(shared: &Shared, groups: Vec<(u64, Vec<Envelope>)>, limit: Duration) -> SafeOutcome {
-    let mut out = SafeOutcome::default();
-    for (sid, group) in groups {
-        let mut iter = group.into_iter();
-        let mut rest: Vec<Envelope> = Vec::new();
-        for env in iter.by_ref() {
-            match execute_safe(shared, &env) {
-                SafeExec::Applied(updates) => {
-                    out.applied.extend(updates);
-                    out.applied_ops += 1;
-                    let lat = env.enqueued.elapsed();
-                    out.total += 1;
-                    if lat <= limit {
-                        out.qualified += 1;
-                    }
-                    shared
-                        .stats
-                        .queue_ns
-                        .fetch_add(lat.as_nanos() as u64, Ordering::Relaxed);
+/// Serially drain one shard's part of the epoch's safe prefix into
+/// `out`. Runs concurrently with the other shards — safe updates
+/// commute, and [`Engine::try_apply_safe`] revalidates under the store's
+/// own locks — while per-session order holds because all of a session's
+/// envelopes are on one part, in submission order. A demotion stops
+/// that session: the demoted update and the session's later envelopes
+/// go back to its queue via `leftovers`; everyone else's are applied.
+fn drain_shard(shared: &Shared, part: &mut Vec<Envelope>, limit: Duration, out: &mut SafeOutcome) {
+    if part.is_empty() {
+        return;
+    }
+    let mut queue_ns = 0;
+    for env in part.drain(..) {
+        if out.stopped.contains(&env.session) {
+            out.leftovers.push(env);
+            continue;
+        }
+        match execute_safe(shared, &env, &mut out.applied) {
+            SafeExec::Applied => {
+                out.applied_ops += 1;
+                let lat = env.enqueued.elapsed();
+                out.total += 1;
+                if lat <= limit {
+                    out.qualified += 1;
                 }
-                SafeExec::Errored => {
-                    out.total += 1;
-                }
-                SafeExec::Demoted => {
-                    shared.stats.demotions.fetch_add(1, Ordering::Relaxed);
-                    rest.push(env);
-                    break;
-                }
+                queue_ns += lat.as_nanos() as u64;
+            }
+            SafeExec::Errored => {
+                out.total += 1;
+            }
+            SafeExec::Demoted => {
+                shared.stats.demotions.fetch_add(1, Ordering::Relaxed);
+                out.stopped.push(env.session);
+                out.leftovers.push(env);
             }
         }
-        rest.extend(iter);
-        if !rest.is_empty() {
-            out.leftovers.push((sid, rest));
-        }
     }
-    out
+    // Once per part, not per update: every executor adds to this cell.
+    shared.stats.queue_ns.fetch_add(queue_ns, Ordering::Relaxed);
 }
 
 fn coordinator_loop(
     shared: Arc<Shared>,
-    rx: Receiver<Envelope>,
     config: ServerConfig,
     mut wal: Option<WalWriter>,
     shards: Vec<ShardHandle>,
     feed: Option<Arc<ReplicationFeed>>,
 ) {
-    run_epochs(&shared, &rx, &config, &mut wal, &shards, feed.as_deref());
+    run_epochs(&shared, &config, &mut wal, &shards, feed.as_deref());
     match wal {
         // Power-loss simulation (`Server::crash`): leak the writer so
         // its buffered tail is never flushed; the fd is reclaimed at
@@ -1429,7 +1457,6 @@ fn coordinator_loop(
 
 fn run_epochs(
     shared: &Arc<Shared>,
-    rx: &Receiver<Envelope>,
     config: &ServerConfig,
     wal: &mut Option<WalWriter>,
     shards: &[ShardHandle],
@@ -1446,7 +1473,15 @@ fn run_epochs(
             shared.metrics.gauge("wal.segment_lag"),
         )
     });
-    let mut pending: FxHashMap<u64, VecDeque<Envelope>> = FxHashMap::default();
+    let mut gather = Gather::new(config.max_capacity);
+    // The injector's backlog is swapped into this buffer once per pass.
+    let mut inbox: Vec<Envelope> = Vec::new();
+    let shard_count = config.shards.max(1);
+    let mut buf = EpochBuf {
+        safe_parts: (0..shard_count).map(|_| Vec::new()).collect(),
+        safe_count: 0,
+        unsafe_queue: VecDeque::new(),
+    };
     let mut last_gc = Instant::now();
     let mut last_wal_sync = Instant::now();
     let mut last_checkpoint = Instant::now();
@@ -1463,75 +1498,21 @@ fn run_epochs(
         .store(scheduler.threshold() as u64, Ordering::Relaxed);
 
     loop {
-        let mut buf = EpochBuf {
-            safe_groups: Vec::new(),
-            safe_count: 0,
-            unsafe_queue: VecDeque::new(),
-        };
+        buf.safe_count = 0;
 
         // ---- Gather & classify phase -------------------------------
-        let mut blocked: std::collections::HashSet<u64> = std::collections::HashSet::new();
+        gather.begin_epoch();
         loop {
-            // Drain whatever is available without blocking.
-            let mut got_any = false;
-            while let Ok(env) = rx.try_recv() {
-                pending.entry(env.session).or_default().push_back(env);
-                got_any = true;
+            // Take whatever is available without blocking.
+            let got_any = shared.injector.take(&mut inbox);
+            for env in inbox.drain(..) {
+                gather.receive(env);
             }
 
-            // Classify session queue prefixes.
+            // Classify the queue prefixes of the sessions that got
+            // something (and, first pass, of those carried over).
             let t_sched = Instant::now();
-            for (sid, queue) in pending.iter_mut() {
-                if blocked.contains(sid) {
-                    continue;
-                }
-                while let Some(front) = queue.front() {
-                    let need = front.op.max_vertex();
-                    // The ceiling gates *growth*, not addressing: ids
-                    // the engine already has capacity for (a larger
-                    // Server::start capacity, a bulk load) stay valid.
-                    if need > config.max_capacity as u64 && need as usize > shared.engine.capacity()
-                    {
-                        // Reject instead of growing: a wire client can
-                        // name any vertex id, and unbounded growth is a
-                        // coordinator-killing allocation.
-                        let env = queue.pop_front().unwrap();
-                        send_reply(
-                            shared,
-                            &env,
-                            Reply {
-                                version: shared.version.load(Ordering::Acquire),
-                                outcome: Err(Error::VertexNotFound(need.saturating_sub(1))),
-                            },
-                        );
-                        continue;
-                    }
-                    if need as usize > shared.engine.capacity() {
-                        shared.engine.ensure_capacity(need as usize);
-                    }
-                    let safety = match &front.op {
-                        Op::Single(u) => shared.engine.classify(u),
-                        Op::Txn(us) => shared.engine.classify_txn(us),
-                    };
-                    match safety {
-                        Safety::Safe => {
-                            let env = queue.pop_front().unwrap();
-                            match buf.safe_groups.iter_mut().find(|(s, _)| s == sid) {
-                                Some((_, g)) => g.push(env),
-                                None => buf.safe_groups.push((*sid, vec![env])),
-                            }
-                            buf.safe_count += 1;
-                        }
-                        Safety::Unsafe => {
-                            // First unsafe blocks the session: everything
-                            // behind it is next-epoch (§4, Figure 9).
-                            buf.unsafe_queue.push_back(queue.pop_front().unwrap());
-                            blocked.insert(*sid);
-                            break;
-                        }
-                    }
-                }
-            }
+            gather.classify(shared, &mut buf);
             shared
                 .stats
                 .sched_ns
@@ -1551,20 +1532,15 @@ fn run_epochs(
                 }
                 continue;
             }
-            // Nothing to do: block briefly, watching for shutdown.
-            match rx.recv_timeout(config.idle_poll) {
-                Ok(env) => {
-                    pending.entry(env.session).or_default().push_back(env);
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if shared.shutdown.load(Ordering::Acquire)
-                        && pending.values().all(|q| q.is_empty())
-                    {
-                        return;
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => return,
+            // Nothing to do: sleep briefly, watching for shutdown.
+            if shared.shutdown.load(Ordering::Acquire)
+                && gather.is_drained()
+                && shared.injector.is_empty()
+            {
+                refuse_latecomers(shared, &mut inbox);
+                return;
             }
+            shared.injector.wait(config.idle_poll);
         }
 
         // ---- Sharded parallel safe phase ---------------------------
@@ -1573,77 +1549,55 @@ fn run_epochs(
         // excluded: it is dominated by idle waiting, not execution).
         let mut phases = [0u64; PHASE_COUNT];
         let limit = scheduler.latency_limit();
-        let mut safe_log: Vec<(u64, Update)> = Vec::new();
-        let mut safe_ops: u64 = 0;
+        let mut safe = SafeOutcome::default();
         let mut unsafe_groups: Vec<Vec<Update>> = Vec::new();
-        let mut shard_counts: Vec<(u64, u64)> = Vec::new();
         // The inline rule (§3.2: parallelism only where the work
         // outweighs its synchronisation): an epoch with at most
-        // `INLINE_SAFE_PER_SHARD` safe updates per shard is one
-        // partition, which the coordinator drains itself — nothing is
-        // dispatched and the barrier below has nobody to wait for.
-        let num_shards = if buf.safe_count <= INLINE_SAFE_PER_SHARD * config.shards.max(1) {
-            1
-        } else {
-            config.shards.max(1)
-        };
-        if num_shards == 1 {
+        // `INLINE_SAFE_PER_SHARD` safe updates per shard (and every
+        // epoch of a one-shard server) is drained by the coordinator
+        // alone, part after part — nothing is dispatched and the
+        // barrier below has nobody to wait for.
+        let inline = shard_count == 1 || buf.safe_count <= INLINE_SAFE_PER_SHARD * shard_count;
+        if inline {
             shared.stats.epochs_inline.fetch_add(1, Ordering::Relaxed);
         }
         if buf.safe_count > 0 {
-            // Hash-partition sessions over the *safe-phase* executors:
-            // shard 0 is the coordinator itself, shards 1..N the worker
-            // threads. The pool may be larger (sized for
+            // Part 0 is the coordinator's, parts 1..N the worker
+            // threads'. The pool may be larger (sized for
             // `unsafe_workers`); the safe partition deliberately stays
             // a function of `config.shards` and the epoch's size alone
             // so enabling parallel unsafe execution cannot change
             // safe-phase scheduling.
-            let safe_shards = &shards[..num_shards - 1];
-            let mut parts: Vec<Vec<(u64, Vec<Envelope>)>> =
-                (0..num_shards).map(|_| Vec::new()).collect();
-            for (sid, group) in std::mem::take(&mut buf.safe_groups) {
-                parts[(sid % num_shards as u64) as usize].push((sid, group));
-            }
             let t_safe = Instant::now();
             let mut dispatched = Vec::new();
-            for (i, handle) in safe_shards.iter().enumerate() {
-                let part = std::mem::take(&mut parts[i + 1]);
-                if !part.is_empty() {
-                    handle
-                        .jobs
-                        .send(ShardJob::Safe {
-                            groups: part,
-                            limit,
-                        })
-                        .expect("shard worker alive");
-                    dispatched.push(i);
+            if !inline {
+                for (i, handle) in shards[..shard_count - 1].iter().enumerate() {
+                    let part = std::mem::take(&mut buf.safe_parts[i + 1]);
+                    if !part.is_empty() {
+                        handle
+                            .jobs
+                            .send(ShardJob::Safe { part, limit })
+                            .expect("shard worker alive");
+                        dispatched.push(i);
+                    }
                 }
             }
-            let mut outcomes = vec![drain_shard(shared, std::mem::take(&mut parts[0]), limit)];
+            for part in &mut buf.safe_parts {
+                drain_shard(shared, part, limit, &mut safe);
+            }
             phases[Phase::SafeExecute as usize] = t_safe.elapsed().as_nanos() as u64;
             // The epoch barrier: every dispatched shard must report
             // before the serial unsafe phase may touch results.
             let t_barrier = Instant::now();
             for i in dispatched {
                 match shards[i].results.recv().expect("shard worker alive") {
-                    ShardOutcome::Safe(out) => outcomes.push(out),
+                    ShardOutcome::Safe(out) => safe.absorb(out),
                     _ => unreachable!("safe job answered with non-safe outcome"),
                 }
             }
             phases[Phase::BarrierWait as usize] = t_barrier.elapsed().as_nanos() as u64;
-            for outcome in outcomes {
-                safe_log.extend(outcome.applied);
-                safe_ops += outcome.applied_ops;
-                shard_counts.push((outcome.qualified, outcome.total));
-                // Requeue demoted suffixes at the front, preserving
-                // per-session order.
-                for (sid, rest) in outcome.leftovers {
-                    let q = pending.entry(sid).or_default();
-                    for env in rest.into_iter().rev() {
-                        q.push_front(env);
-                    }
-                }
-            }
+            // Demoted suffixes go back to the front of their queues.
+            gather.requeue(safe.leftovers, safe.stopped);
         }
 
         // ---- Unsafe phase ------------------------------------------
@@ -1715,8 +1669,8 @@ fn run_epochs(
         // operations); unsafe updates executed serially after the shard
         // barrier, so appending their groups in order completes the
         // exact cross-shard execution order.
-        safe_log.sort_unstable_by_key(|&(stamp, _)| stamp);
-        let safe_updates: Vec<Update> = safe_log.iter().map(|&(_, u)| u).collect();
+        safe.applied.sort_unstable_by_key(|&(stamp, _)| stamp);
+        let safe_updates: Vec<Update> = safe.applied.iter().map(|&(_, u)| u).collect();
         if let Some(w) = wal.as_mut() {
             let total = safe_updates.len() + unsafe_groups.iter().map(Vec::len).sum::<usize>();
             if total > 0 {
@@ -1754,7 +1708,11 @@ fn run_epochs(
         // loop.
         if let Some(feed) = feed {
             let t_feed = Instant::now();
-            feed.append_epoch(safe_updates, safe_ops, std::mem::take(&mut unsafe_groups));
+            feed.append_epoch(
+                safe_updates,
+                safe.applied_ops,
+                std::mem::take(&mut unsafe_groups),
+            );
             phases[Phase::FeedPublish as usize] += t_feed.elapsed().as_nanos() as u64;
         }
 
@@ -1786,7 +1744,7 @@ fn run_epochs(
 
         // Threshold accounting over the aggregated per-shard counts.
         let t_finalize = Instant::now();
-        scheduler.record_shards(shard_counts);
+        scheduler.record_shards([(safe.qualified, safe.total)]);
         scheduler.end_epoch();
         shared
             .stats
@@ -1824,16 +1782,15 @@ fn run_epochs(
         if tick {
             last_gc = Instant::now();
             // Forget the sessions with nothing queued: the table would
-            // otherwise hold a queue for every session id ever seen and
-            // the gather loop walks all of it on every pass. On the
-            // tick rather than per epoch — a live synchronous session's
-            // queue is drained after every update, and dropping it each
-            // time would put an allocation on the per-update path.
-            pending.retain(|_, queue| !queue.is_empty());
+            // otherwise hold a queue for every session id ever seen. On
+            // the tick rather than per epoch — a live synchronous
+            // session's queue is drained after every update, and
+            // dropping it each time would put an allocation on the
+            // per-update path.
             shared
                 .stats
                 .pending_sessions
-                .store(pending.len() as u64, Ordering::Relaxed);
+                .store(gather.forget_drained() as u64, Ordering::Relaxed);
         }
         if shared.enable_history && tick {
             let t_hist = Instant::now();
@@ -1870,27 +1827,34 @@ fn run_epochs(
         }
 
         if shared.shutdown.load(Ordering::Acquire)
-            && pending.values().all(|q| q.is_empty())
-            && rx.is_empty()
+            && gather.is_drained()
+            && shared.injector.is_empty()
         {
             // The final WAL flush (or its deliberate omission under
             // `Server::crash`) happens in `coordinator_loop` once this
             // returns.
-            // Close the race where a submit slipped in after the final
-            // emptiness check: refuse anything still in flight.
-            while let Ok(env) = rx.try_recv() {
-                let _ = env.reply.send((
-                    env.tag,
-                    Reply {
-                        version: shared.version.load(Ordering::Acquire),
-                        outcome: Err(Error::Shutdown),
-                    },
-                ));
-                if let Some(waker) = &env.waker {
-                    waker();
-                }
-            }
+            refuse_latecomers(shared, &mut inbox);
             return;
+        }
+    }
+}
+
+/// The coordinator's last act: close the injector and refuse whatever
+/// slipped in after the final emptiness check. Once the injector is
+/// closed a submit fails in the caller's hands, so nothing is ever left
+/// queued with nobody to answer it.
+fn refuse_latecomers(shared: &Shared, inbox: &mut Vec<Envelope>) {
+    shared.injector.close(inbox);
+    for env in inbox.drain(..) {
+        let _ = env.reply.send((
+            env.tag,
+            Reply {
+                version: shared.version.load(Ordering::Acquire),
+                outcome: Err(Error::Shutdown),
+            },
+        ));
+        if let Some(waker) = &env.waker {
+            waker();
         }
     }
 }
@@ -2128,91 +2092,61 @@ fn send_reply(shared: &Shared, env: &Envelope, reply: Reply) {
 }
 
 enum SafeExec {
-    Applied(Vec<(u64, Update)>),
+    /// Applied and answered; the stamped updates are on the log.
+    Applied,
     Errored,
     /// Revalidation failed; the caller still owns the envelope and must
     /// requeue it at its session's front for the unsafe path.
     Demoted,
 }
 
-fn execute_safe(shared: &Shared, env: &Envelope) -> SafeExec {
-    match &env.op {
-        Op::Single(u) => match shared.engine.try_apply_safe_seq(u, &shared.seq) {
+/// Execute one safe operation, appending what it applied — each update
+/// with its application-order stamp — to `log`.
+fn execute_safe(shared: &Shared, env: &Envelope, log: &mut Vec<(u64, Update)>) -> SafeExec {
+    // All-or-nothing for a transaction: roll back the applied prefix on
+    // demotion or error (inverse structural ops restore state exactly —
+    // safe updates change nothing else).
+    let start = log.len();
+    for u in env.op.updates() {
+        let failure = match shared.engine.try_apply_safe_seq(u, &shared.seq) {
             Ok((SafeApply::Applied, stamp)) => {
-                let version = shared.version.fetch_add(1, Ordering::AcqRel) + 1;
-                // Count before replying so a client that has its reply
-                // never reads a stats snapshot missing its own update.
-                shared.stats.safe_executed.fetch_add(1, Ordering::Relaxed);
-                send_reply(
-                    shared,
-                    env,
-                    Reply {
-                        version,
-                        outcome: Ok(Applied {
-                            safety: Safety::Safe,
-                            result_changes: 0,
-                        }),
-                    },
-                );
-                SafeExec::Applied(vec![(stamp.expect("applied updates are stamped"), *u)])
+                log.push((stamp.expect("applied updates are stamped"), *u));
+                continue;
             }
-            Ok((SafeApply::Demoted, _)) => SafeExec::Demoted,
-            Err(e) => {
-                send_reply(
-                    shared,
-                    env,
-                    Reply {
-                        version: shared.version.load(Ordering::Acquire),
-                        outcome: Err(e),
-                    },
-                );
-                SafeExec::Errored
-            }
-        },
-        Op::Txn(updates) => {
-            // All-or-nothing: roll back the applied prefix on demotion
-            // or error (inverse structural ops restore state exactly —
-            // safe updates change nothing else).
-            let mut applied: Vec<(u64, Update)> = Vec::with_capacity(updates.len());
-            for u in updates {
-                match shared.engine.try_apply_safe_seq(u, &shared.seq) {
-                    Ok((SafeApply::Applied, stamp)) => {
-                        applied.push((stamp.expect("applied updates are stamped"), *u))
-                    }
-                    Ok((SafeApply::Demoted, _)) => {
-                        rollback_structure(shared, &applied);
-                        return SafeExec::Demoted;
-                    }
-                    Err(e) => {
-                        rollback_structure(shared, &applied);
-                        send_reply(
-                            shared,
-                            env,
-                            Reply {
-                                version: shared.version.load(Ordering::Acquire),
-                                outcome: Err(e),
-                            },
-                        );
-                        return SafeExec::Errored;
-                    }
-                }
-            }
-            let version = shared.version.fetch_add(1, Ordering::AcqRel) + 1;
-            shared.stats.safe_executed.fetch_add(1, Ordering::Relaxed);
-            send_reply(
-                shared,
-                env,
-                Reply {
-                    version,
-                    outcome: Ok(Applied {
-                        safety: Safety::Safe,
-                        result_changes: 0,
-                    }),
-                },
-            );
-            SafeExec::Applied(applied)
-        }
+            Ok((SafeApply::Demoted, _)) => None,
+            Err(e) => Some(e),
+        };
+        rollback_structure(shared, &log[start..]);
+        log.truncate(start);
+        let Some(e) = failure else {
+            return SafeExec::Demoted;
+        };
+        send_reply(
+            shared,
+            env,
+            Reply {
+                version: shared.version.load(Ordering::Acquire),
+                outcome: Err(e),
+            },
+        );
+        return SafeExec::Errored;
     }
+    let version = shared.version.fetch_add(1, Ordering::AcqRel) + 1;
+    // Count before replying so a client that has its reply never reads
+    // a stats snapshot missing its own update.
+    shared.stats.safe_executed.fetch_add(1, Ordering::Relaxed);
+    send_reply(
+        shared,
+        env,
+        Reply {
+            version,
+            outcome: Ok(Applied {
+                safety: Safety::Safe,
+                result_changes: 0,
+            }),
+        },
+    );
+    SafeExec::Applied
 }
 
 fn rollback_structure(shared: &Shared, applied: &[(u64, Update)]) {
@@ -2896,5 +2830,62 @@ mod tests {
             "unsafe-phase histogram records each epoch with unsafe work"
         );
         StdArc::try_unwrap(srv).ok().unwrap().shutdown();
+    }
+
+    /// One flat part holding two interleaved sessions. With two copies
+    /// of tree edge `e`, A's first delete is safe and its second — safe
+    /// when it was classified — fails revalidation: A's demoted update
+    /// and everything A has behind it come back in submission order,
+    /// and nothing of B's is held up.
+    #[test]
+    fn drain_shard_hands_back_only_the_demoted_sessions_suffix() {
+        const A: u64 = 100;
+        const B: u64 = 101;
+        let srv = bfs_server(16);
+        let setup = srv.session();
+        let e = Edge::new(1, 2, 0);
+        for edge in [Edge::new(0, 1, 0), e, e] {
+            setup.ins_edge(edge).outcome.unwrap();
+        }
+        let (reply, replies) = unbounded();
+        let env = |session, tag, u| Envelope {
+            session,
+            tag,
+            op: Op::Single(u),
+            enqueued: Instant::now(),
+            reply: reply.clone(),
+            waker: None,
+        };
+        let (del, chord) = (Update::DelEdge(e), Update::InsEdge(Edge::new(2, 0, 0)));
+        let mut part = vec![
+            env(A, 1, del),
+            env(B, 2, chord),
+            env(A, 3, del),
+            env(B, 4, chord),
+            env(A, 5, chord),
+            env(B, 6, chord),
+        ];
+        let stats = srv.stats();
+        let queue_ns = stats.queue_ns.load(Ordering::Relaxed);
+        let mut out = SafeOutcome::default();
+        drain_shard(&srv.shared, &mut part, Duration::from_secs(60), &mut out);
+
+        assert!(part.is_empty());
+        assert_eq!(out.stopped, [A]);
+        let tags = |envs: &[Envelope]| envs.iter().map(|e| e.tag).collect::<Vec<_>>();
+        assert_eq!(tags(&out.leftovers), [3, 5]);
+        assert_eq!((out.applied_ops, out.qualified, out.total), (4, 4, 4));
+        let applied: Vec<Update> = out.applied.iter().map(|&(_, u)| u).collect();
+        assert_eq!(applied, [del, chord, chord, chord]);
+        let answered: Vec<u64> = std::iter::from_fn(|| replies.try_recv().ok())
+            .map(|(tag, reply)| {
+                assert_eq!(reply.outcome.unwrap().safety, Safety::Safe);
+                tag
+            })
+            .collect();
+        assert_eq!(answered, [1, 2, 4, 6]);
+        assert_eq!(stats.demotions.load(Ordering::Relaxed), 1);
+        // The queueing time of the four is published once, at the end.
+        assert!(stats.queue_ns.load(Ordering::Relaxed) > queue_ns);
     }
 }

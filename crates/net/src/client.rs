@@ -62,6 +62,45 @@ struct DemuxState {
     /// Set when the reader thread dies (EOF, socket error, protocol
     /// violation); every waiter is failed with this.
     dead: Option<String>,
+    /// Callers inside `Condvar::wait` (or committed to entering it:
+    /// raised with the mutex held, and the wait releases the mutex
+    /// atomically).
+    waiters: usize,
+}
+
+impl Demux {
+    /// File a response under its request id and wake whoever waits.
+    /// std's `Condvar::notify_all` is a `futex` syscall whether or not
+    /// anyone listens, so it is issued only when a caller is parked: a
+    /// caller that locks after this insert finds its response and never
+    /// waits.
+    fn deliver(&self, req_id: u64, resp: Response) {
+        let mut s = self.slots.lock().unwrap();
+        s.ready.insert(req_id, resp);
+        let wake = s.waiters > 0;
+        drop(s);
+        if wake {
+            self.cv.notify_all();
+        }
+    }
+
+    /// Block until the response for `id` arrives (or the reader dies).
+    fn wait(&self, id: u64) -> Result<Response> {
+        let mut s = self.slots.lock().unwrap();
+        loop {
+            if let Some(resp) = s.ready.remove(&id) {
+                return Ok(resp);
+            }
+            if let Some(reason) = &s.dead {
+                return Err(Error::Protocol(reason.clone()));
+            }
+            s.waiters += 1;
+            #[cfg(test)]
+            tests::before_wait();
+            s = self.cv.wait(s).unwrap();
+            s.waiters -= 1;
+        }
+    }
 }
 
 /// A blocking **and** pipelined client for one server connection.
@@ -129,6 +168,7 @@ impl NetClient {
             slots: Mutex::new(DemuxState {
                 ready: FxHashMap::default(),
                 dead: None,
+                waiters: 0,
             }),
             cv: Condvar::new(),
         });
@@ -160,12 +200,7 @@ impl NetClient {
                                     busy_err(cause, &message)
                                 );
                             }
-                            Ok((req_id, resp)) => {
-                                let mut s = reader_demux.slots.lock().unwrap();
-                                s.ready.insert(req_id, resp);
-                                drop(s);
-                                reader_demux.cv.notify_all();
-                            }
+                            Ok((req_id, resp)) => reader_demux.deliver(req_id, resp),
                             Err(e) => break e.to_string(),
                         },
                         Ok(None) => break "connection closed by server".into(),
@@ -242,16 +277,7 @@ impl NetClient {
 
     /// Block until the response for `id` arrives.
     pub fn wait(&self, id: u64) -> Result<Response> {
-        let mut s = self.demux.slots.lock().unwrap();
-        loop {
-            if let Some(resp) = s.ready.remove(&id) {
-                return Ok(resp);
-            }
-            if let Some(reason) = &s.dead {
-                return Err(Error::Protocol(reason.clone()));
-            }
-            s = self.demux.cv.wait(s).unwrap();
-        }
+        self.demux.wait(id)
     }
 
     fn call(&self, req: &Request) -> Result<Response> {
@@ -566,5 +592,92 @@ impl Drop for NetClient {
         if let Some(h) = self.reader.take() {
             let _ = h.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc::channel;
+    use std::time::Duration;
+
+    thread_local! {
+        /// Runs once on this thread between a waiter's "not here yet"
+        /// check (`waiters` already raised, mutex held) and its
+        /// `Condvar` wait, so a test can start the reader's delivery in
+        /// that gap.
+        static BEFORE_WAIT: std::cell::RefCell<Option<Box<dyn FnOnce()>>> =
+            const { std::cell::RefCell::new(None) };
+    }
+
+    pub(super) fn before_wait() {
+        if let Some(hook) = BEFORE_WAIT.with(|h| h.borrow_mut().take()) {
+            hook();
+        }
+    }
+
+    fn demux() -> Arc<Demux> {
+        Arc::new(Demux {
+            slots: Mutex::new(DemuxState {
+                ready: FxHashMap::default(),
+                dead: None,
+                waiters: 0,
+            }),
+            cv: Condvar::new(),
+        })
+    }
+
+    /// A response delivered while its caller sits between the empty
+    /// check and the wait must still wake it: the delivery reaches the
+    /// mutex either while the caller holds it or after the wait let it
+    /// go, and finds `waiters` raised both times. Red (hangs, then
+    /// fails) with the raise removed.
+    #[test]
+    fn delivery_in_the_wait_window_reaches_the_waiter() {
+        let demux = demux();
+        let (in_window_tx, in_window_rx) = channel();
+        let (acting_tx, acting_rx) = channel::<()>();
+        let (got_tx, got_rx) = channel();
+        let waiter = {
+            let demux = Arc::clone(&demux);
+            std::thread::spawn(move || {
+                BEFORE_WAIT.with(|h| {
+                    *h.borrow_mut() = Some(Box::new(move || {
+                        in_window_tx.send(()).unwrap();
+                        acting_rx.recv().unwrap();
+                        // Let the reader get as far as the mutex this
+                        // thread is holding.
+                        for _ in 0..64 {
+                            std::thread::yield_now();
+                        }
+                    }));
+                });
+                got_tx.send(demux.wait(7)).unwrap();
+            })
+        };
+        in_window_rx.recv().unwrap();
+        let reader = {
+            let demux = Arc::clone(&demux);
+            std::thread::spawn(move || {
+                acting_tx.send(()).unwrap();
+                demux.deliver(7, Response::Released);
+            })
+        };
+        let got = got_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("lost wake-up: the waiter never returned");
+        assert!(matches!(got, Ok(Response::Released)));
+        waiter.join().unwrap();
+        reader.join().unwrap();
+        assert_eq!(demux.slots.lock().unwrap().waiters, 0);
+    }
+
+    /// With nobody parked a delivery is filed and found by the next
+    /// caller without any waiting.
+    #[test]
+    fn delivery_before_the_wait_is_found_without_waiting() {
+        let demux = demux();
+        demux.deliver(3, Response::Version(9));
+        assert!(matches!(demux.wait(3), Ok(Response::Version(9))));
     }
 }

@@ -159,13 +159,70 @@ const SNAPSHOT_CHUNK_UPDATES: usize = 1 << 16;
 
 /// The slice of a worker other threads can see: the acceptor hands
 /// off sockets through `inbox`, reply wakers enqueue `(token, sid)`
-/// drain requests through `ready`, and both ding `wakeup` to pull the
-/// worker out of `epoll_wait`.
+/// drain requests through `ready`, and `wakeup` pulls the worker out of
+/// `epoll_wait` — always for a hand-off or shutdown, for a reply only
+/// when the worker is `sleeping`.
 struct WorkerShared {
     wakeup: Wakeup,
     inbox: Mutex<Vec<TcpStream>>,
     ready: Mutex<Vec<(u64, u64)>>,
+    /// The worker is in `epoll_wait` or committed to entering it. The
+    /// worker raises it and *then* looks at `ready` once more; a reply
+    /// waker pushes onto `ready` and *then* takes the flag down. Both
+    /// sides go through the `ready` mutex in between, so either the
+    /// waker finds the flag up and writes the eventfd, or the worker
+    /// finds the entry and does not sleep — and a waker that finds the
+    /// flag down knows the worker will reach `drain_ready` on its own,
+    /// so an awake worker costs the epoch loop no syscall.
+    sleeping: AtomicBool,
+    /// Eventfd writes reply wakers made (`net.reactor.wakes`) and
+    /// skipped because the worker was awake
+    /// (`net.reactor.wakes_elided`), summed over the workers.
+    wakes: Arc<Counter>,
+    wakes_elided: Arc<Counter>,
     conns: AtomicUsize,
+}
+
+impl WorkerShared {
+    fn new(registry: &Registry) -> Result<WorkerShared> {
+        Ok(WorkerShared {
+            wakeup: Wakeup::new()?,
+            inbox: Mutex::new(Vec::new()),
+            ready: Mutex::new(Vec::new()),
+            sleeping: AtomicBool::new(false),
+            wakes: registry.counter("net.reactor.wakes"),
+            wakes_elided: registry.counter("net.reactor.wakes_elided"),
+            conns: AtomicUsize::new(0),
+        })
+    }
+
+    /// The worker's sleep: `epoll_wait` for at most `timeout`, or not
+    /// at all when `ready` already holds something.
+    fn sleep(&self, poller: &Poller, events: &mut Vec<Event>, mut timeout: Duration) {
+        // Announce the sleep, then look at `ready` once more: a reply
+        // pushed before the look is drained without sleeping, one
+        // pushed after it finds the flag up and writes the eventfd.
+        self.sleeping.store(true, Ordering::SeqCst);
+        if !self.ready.lock().unwrap().is_empty() {
+            self.sleeping.store(false, Ordering::SeqCst);
+            timeout = Duration::ZERO;
+        }
+        #[cfg(test)]
+        tests::before_epoll_wait();
+        let _ = poller.wait(events, Some(timeout));
+        self.sleeping.store(false, Ordering::SeqCst);
+    }
+
+    /// The reply waker's tail: `(token, sid)` has replies to drain.
+    fn nudge(&self, token: u64, sid: u64) {
+        self.ready.lock().unwrap().push((token, sid));
+        if self.sleeping.swap(false, Ordering::SeqCst) {
+            self.wakeup.wake();
+            self.wakes.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.wakes_elided.fetch_add(1, Ordering::Relaxed);
+        }
+    }
 }
 
 /// Per-worker reactor gauges, registered in the core server's metrics
@@ -287,12 +344,7 @@ impl NetServer {
         let num_workers = net.net_workers.max(1);
         let mut workers = Vec::with_capacity(num_workers);
         for _ in 0..num_workers {
-            workers.push(Arc::new(WorkerShared {
-                wakeup: Wakeup::new()?,
-                inbox: Mutex::new(Vec::new()),
-                ready: Mutex::new(Vec::new()),
-                conns: AtomicUsize::new(0),
-            }));
+            workers.push(Arc::new(WorkerShared::new(server.metrics())?));
         }
 
         let mut threads = Vec::with_capacity(num_workers);
@@ -742,11 +794,10 @@ impl Conn {
         let q = Arc::clone(&queued);
         let token = self.token;
         core.set_reply_waker(Some(Arc::new(move || {
-            // First waker since the last drain dings the worker; the
+            // First waker since the last drain nudges the worker; the
             // rest coalesce behind the flag.
             if !q.swap(true, Ordering::AcqRel) {
-                shared.ready.lock().unwrap().push((token, sid));
-                shared.wakeup.wake();
+                shared.nudge(token, sid);
             }
         })));
         self.sessions.insert(
@@ -793,7 +844,9 @@ impl Conn {
 
     /// Submit an update op, shed it (v2 over an admission limit), or
     /// park it (window full, or a v1 connection over the global
-    /// budget). Returns `false` when frame processing must stop.
+    /// budget). Returns `false` when frame processing must stop: the op
+    /// was parked, or the submit failed and closed the read side
+    /// (*either* of `read_closed` / `dead` stops the parser).
     fn submit_or_park(&mut self, ctx: &Ctx, req_id: u64, sid: u64, op: Op) -> bool {
         if self.inflight >= ctx.net.window.max(1) {
             self.pending = Some(PendingOp { req_id, sid, op });
@@ -836,7 +889,7 @@ impl Conn {
             return false;
         }
         self.submit(ctx, req_id, sid, op);
-        !self.read_closed || !self.dead
+        !(self.read_closed || self.dead)
     }
 
     /// Submit an op whose budget slot is already reserved; releases the
@@ -1460,7 +1513,9 @@ impl Worker {
                 break;
             }
             let timeout = self.tick_timeout();
-            let _ = self.ctx.poller.wait(&mut events, Some(timeout));
+            self.ctx
+                .shared
+                .sleep(&self.ctx.poller, &mut events, timeout);
             let batch = std::mem::take(&mut events);
             for ev in &batch {
                 match ev.token {
@@ -1721,5 +1776,93 @@ impl Worker {
             // `conn.sessions` drops here, releasing the core sessions
             // (and their history holds).
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc::channel;
+
+    thread_local! {
+        /// Runs once on this thread between a worker's second look at
+        /// `ready` (`sleeping` already raised) and its `epoll_wait`, so
+        /// a test can fire a reply waker in that gap.
+        static BEFORE_EPOLL_WAIT: std::cell::RefCell<Option<Box<dyn FnOnce()>>> =
+            const { std::cell::RefCell::new(None) };
+    }
+
+    pub(super) fn before_epoll_wait() {
+        if let Some(hook) = BEFORE_EPOLL_WAIT.with(|h| h.borrow_mut().take()) {
+            hook();
+        }
+    }
+
+    fn worker_shared(registry: &Registry) -> (Arc<WorkerShared>, Poller) {
+        let shared = Arc::new(WorkerShared::new(registry).unwrap());
+        let poller = Poller::new().unwrap();
+        poller
+            .add(shared.wakeup.fd(), TOKEN_WAKEUP, Interest::READ)
+            .unwrap();
+        (shared, poller)
+    }
+
+    /// A reply that lands after the worker's last look at `ready` and
+    /// before its `epoll_wait` must cut the sleep short: the waker finds
+    /// `sleeping` up and writes the eventfd. With the raise moved behind
+    /// the look the waker elides the write and the worker sleeps out its
+    /// whole timeout (60 s here; 25 ms of added latency per lost nudge
+    /// in `Worker::run`).
+    #[test]
+    fn nudge_in_the_sleep_window_wakes_the_worker() {
+        let registry = Registry::new();
+        let (shared, poller) = worker_shared(&registry);
+        let (in_window_tx, in_window_rx) = channel();
+        let (acted_tx, acted_rx) = channel::<()>();
+        let (woke_tx, woke_rx) = channel();
+        let worker = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                BEFORE_EPOLL_WAIT.with(|h| {
+                    *h.borrow_mut() = Some(Box::new(move || {
+                        in_window_tx.send(()).unwrap();
+                        acted_rx.recv().unwrap();
+                    }));
+                });
+                let mut events = Vec::new();
+                shared.sleep(&poller, &mut events, Duration::from_secs(60));
+                woke_tx.send(events).unwrap();
+            })
+        };
+        in_window_rx.recv().unwrap();
+        shared.nudge(5, 1);
+        acted_tx.send(()).unwrap();
+        let events = woke_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("lost nudge: the worker slept through a reply");
+        worker.join().unwrap();
+        assert!(events.iter().any(|e| e.token == TOKEN_WAKEUP));
+        assert_eq!(*shared.ready.lock().unwrap(), [(5, 1)]);
+        assert!(!shared.sleeping.load(Ordering::SeqCst));
+        assert_eq!(shared.wakes.load(Ordering::Relaxed), 1);
+        assert_eq!(shared.wakes_elided.load(Ordering::Relaxed), 0);
+    }
+
+    /// A reply that lands while the worker is awake costs no eventfd
+    /// write, and the worker's look at `ready` keeps it from sleeping.
+    #[test]
+    fn nudge_to_an_awake_worker_is_elided_and_still_seen() {
+        let registry = Registry::new();
+        let (shared, poller) = worker_shared(&registry);
+        shared.nudge(5, 1);
+        shared.nudge(5, 2);
+        assert_eq!(shared.wakes.load(Ordering::Relaxed), 0);
+        assert_eq!(shared.wakes_elided.load(Ordering::Relaxed), 2);
+        let t = Instant::now();
+        let mut events = Vec::new();
+        shared.sleep(&poller, &mut events, Duration::from_secs(60));
+        assert!(t.elapsed() < Duration::from_secs(10), "slept on a backlog");
+        assert!(events.is_empty(), "nobody wrote the eventfd");
+        assert_eq!(*shared.ready.lock().unwrap(), [(5, 1), (5, 2)]);
     }
 }

@@ -477,6 +477,16 @@ fn run_serve(args: Args) -> ! {
             s.sync_reply_parks.load(Ordering::Relaxed),
         );
         let registry = net.server().metrics();
+        println!(
+            "fan-in: sessions_examined={} reactor_wakes={} reactor_wakes_elided={}",
+            s.sessions_examined.load(Ordering::Relaxed),
+            registry
+                .counter("net.reactor.wakes")
+                .load(Ordering::Relaxed),
+            registry
+                .counter("net.reactor.wakes_elided")
+                .load(Ordering::Relaxed),
+        );
         let traced = registry.counter("epoch.traced").load(Ordering::Relaxed);
         let flagged = registry.counter("epoch.flagged").load(Ordering::Relaxed);
         if traced > 0 {

@@ -380,3 +380,127 @@ fn synchronous_round_trip_counts_inline_epochs_and_parks() {
     }
     srv.shutdown();
 }
+
+/// A star around vertex 0: every duplicate insert of one of its edges,
+/// and every delete of such a duplicate, is safe.
+fn star_preload(leaves: u64) -> Vec<(u64, u64, u64)> {
+    (1..=leaves).map(|leaf| (0, leaf, 1)).collect()
+}
+
+/// The gather stage's cost per update does not depend on how many
+/// sessions are open. 4 096 sessions submit one update each and stay
+/// open — with the GC tick out of the way the coordinator keeps a queue
+/// for every one of them — and then one of them submits 2 000 more, one
+/// at a time. A gather that walked its whole table would look at
+/// ≈ 4 096 queues per pass (≈ 16 million visits); looking only where
+/// something arrived is one visit per update.
+#[test]
+fn gather_visits_grow_with_updates_not_with_open_sessions() {
+    const SESSIONS: u64 = 4_096;
+    const SOLO: u64 = 2_000;
+    let preload = star_preload(64);
+    let mut cfg = server_config(BackendKind::IaHash, 2);
+    cfg.gc_interval = Duration::from_secs(3600);
+    let srv: Server = Server::start(wcc_algorithms(), 128, cfg).expect("server");
+    srv.load_edges(&preload);
+
+    let sessions: Vec<Session> = (0..SESSIONS).map(|_| srv.session()).collect();
+    let churn = safe_churn(&preload, (SESSIONS + SOLO) as usize, 11);
+    let (one_each, solo) = churn.split_at(SESSIONS as usize);
+    for (session, u) in sessions.iter().zip(one_each) {
+        session.submit_update(u).outcome.expect("safe churn");
+    }
+    for u in &solo[..SOLO as usize] {
+        sessions[0].submit_update(u).outcome.expect("safe churn");
+    }
+
+    // An epoch is counted as it ends, after its reply went out.
+    let updates = SESSIONS + SOLO;
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let (epochs, examined) = loop {
+        let snap = srv.metrics().snapshot();
+        let epochs = counter(&snap, "core.epochs").expect("core.epochs");
+        if epochs >= updates {
+            let name = "core.gather.sessions_examined";
+            break (epochs, counter(&snap, name).expect(name));
+        }
+        assert!(Instant::now() < deadline, "epoch {epochs} never ended");
+        std::thread::yield_now();
+    };
+    assert!(
+        examined >= updates,
+        "{examined} visits for {updates} updates"
+    );
+    assert!(
+        examined <= 2 * updates + epochs,
+        "{examined} queue visits for {updates} updates in {epochs} epochs \
+         with {SESSIONS} sessions open"
+    );
+    let line = format!("risgraph_core_gather_sessions_examined {examined}");
+    let text = srv.metrics().render_prometheus();
+    assert!(text.lines().any(|l| l == line), "no `{line}` in:\n{text}");
+    drop(sessions);
+    srv.shutdown();
+}
+
+/// Every reply on a window-1 session is the first of its burst, so each
+/// one decides once whether the owning reactor worker needs the eventfd
+/// written: `net.reactor.wakes` (it was asleep) plus
+/// `net.reactor.wakes_elided` (it was awake, no syscall) is the number
+/// of replies. 256 such sessions on one connection are answered in
+/// bursts, and inside a burst the worker is awake.
+#[test]
+fn reply_nudges_write_the_eventfd_only_for_a_sleeping_worker() {
+    const SESSIONS: usize = 256;
+    const ROUNDS: usize = 20;
+    let preload = star_preload(64);
+    let net = NetServer::start(
+        wcc_algorithms(),
+        128,
+        server_config(BackendKind::IaHash, 2),
+        NetConfig::default(),
+    )
+    .expect("server");
+    net.server().load_edges(&preload);
+    let client = NetClient::connect(net.local_addr()).expect("connect");
+    let sessions: Vec<_> = (0..SESSIONS)
+        .map(|_| client.open_session().expect("v2 session"))
+        .collect();
+    // Whole insert/delete pairs per session (ROUNDS is even), so a
+    // delete always finds the copy its own session inserted.
+    let churn = safe_churn(&preload, SESSIONS * ROUNDS / 2, 13);
+    let streams: Vec<&[Update]> = churn.chunks(ROUNDS).collect();
+    for round in 0..ROUNDS {
+        let ids: Vec<u64> = sessions
+            .iter()
+            .zip(&streams)
+            .map(|(s, stream)| s.submit_update_pipelined(&stream[round]).expect("submit"))
+            .collect();
+        for (s, id) in sessions.iter().zip(ids) {
+            s.wait_reply(id)
+                .expect("reply")
+                .outcome
+                .expect("safe churn");
+        }
+    }
+
+    let snap = client.metrics().expect("METRICS");
+    let wakes = counter(&snap, "net.reactor.wakes").expect("net.reactor.wakes");
+    let elided = counter(&snap, "net.reactor.wakes_elided").expect("net.reactor.wakes_elided");
+    assert_eq!(
+        wakes + elided,
+        (SESSIONS * ROUNDS) as u64,
+        "{wakes} writes + {elided} elided: one decision per reply"
+    );
+    assert!(elided > 0, "every one of {wakes} replies wrote the eventfd");
+    let text = net.server().metrics().render_prometheus();
+    for line in [
+        format!("risgraph_net_reactor_wakes {wakes}"),
+        format!("risgraph_net_reactor_wakes_elided {elided}"),
+    ] {
+        assert!(text.lines().any(|l| l == line), "no `{line}` in:\n{text}");
+    }
+    drop(sessions);
+    drop(client);
+    net.shutdown();
+}
