@@ -3,9 +3,9 @@
 //!
 //! Every layout loads through the shared `DynamicGraph` trait and
 //! reports [`risgraph_storage::StoreStats::memory_bytes`] — no
-//! per-backend measurement kernels. The out-of-core prototype is
-//! reported as an extra row (its resident footprint is the block cache,
-//! which is the point of the layout).
+//! per-backend measurement kernels. The out-of-core store is reported
+//! as an extra column (its in-heap chain directories plus the mapped
+//! block window).
 //!
 //! Paper: IA_Hash 3.25× (unweighted) / 3.38× (weighted); BTree the most
 //! compact (≈2.36×/2.50×); the transpose doubles everything and the
@@ -33,10 +33,7 @@ fn main() {
 
     let layouts: Vec<BackendKind> = BackendKind::table8_matrix()
         .into_iter()
-        .chain([BackendKind::Ooc {
-            path: None,
-            cache_blocks: 1024,
-        }])
+        .chain([BackendKind::OocMmap { path: None }])
         .collect();
     let mut header: Vec<String> = vec![String::new()];
     header.extend(layouts.iter().map(|k| k.label().to_string()));
@@ -60,7 +57,8 @@ fn main() {
          (unweighted); BTree most compact, Hash in between, ART largest.\n\
          Note: the paper's 512-degree index threshold means *indexes only\n\
          exist on hubs*; at reduced scale fewer vertices cross it, so the\n\
-         absolute ratios shift while the ordering is preserved. OOC reports\n\
-         resident bytes only (blocks beyond the cache live on disk)."
+         absolute ratios shift while the ordering is preserved. OOC_MMAP\n\
+         charges one 4 KiB block per (vertex, direction) chain: it is a\n\
+         large-degree layout, not a compact one."
     );
 }

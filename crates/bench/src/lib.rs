@@ -10,10 +10,11 @@
 //!
 //! * `RISGRAPH_SCALE` — log2 of the vertex count for generated datasets
 //!   (default 13 ⇒ 8192 vertices; the paper's graphs are larger by
-//!   3–4 orders of magnitude — see DESIGN.md §3 on scaling);
+//!   3–4 orders of magnitude);
 //! * `RISGRAPH_SESSIONS` — maximum emulated sessions (default 64);
 //! * `RISGRAPH_DATASETS` — comma-separated Table 3 abbreviations to
-//!   run (default a representative subset: PH,WK,TT,UK).
+//!   run (default a representative subset: PH,WK,TT,UK);
+//! * `RISGRAPH_THREADS` — engine worker threads (default all cores).
 
 pub mod drivers;
 pub mod json;

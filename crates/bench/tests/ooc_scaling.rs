@@ -1,7 +1,7 @@
 //! OOC shard-scaling smoke test: the mmap-backed store's safe phase
-//! must scale with shard executors while the legacy global-mutex store
-//! cannot. Ignored by default (wall-clock measurement); the slow CI job
-//! runs it with `cargo test --release -- --ignored`.
+//! must scale with shard executors. Ignored by default (wall-clock
+//! measurement); the slow CI job runs it with
+//! `cargo test --release -- --ignored`.
 
 use std::sync::Arc;
 
@@ -10,7 +10,7 @@ use risgraph_bench::drivers::measure_shard_scaling;
 use risgraph_core::engine::DynAlgorithm;
 use risgraph_core::server::ServerConfig;
 use risgraph_storage::BackendKind;
-use risgraph_testkit::{ooc_backend, ooc_mmap_backend, remove_ooc_files, safe_churn};
+use risgraph_testkit::{ooc_mmap_backend, remove_ooc_files, safe_churn};
 use risgraph_workloads::rmat::RmatConfig;
 
 fn throughput_at(
@@ -40,9 +40,8 @@ fn throughput_at(
 }
 
 /// `ooc-mmap` at 4 shards must beat its own serial coordinator on a
-/// multi-core box (the striped locks actually admit concurrency), and
-/// must beat the legacy global-mutex store at the same shard count.
-/// On starved boxes the assertions degrade to collapse guards, like
+/// multi-core box (the striped locks actually admit concurrency). On
+/// starved boxes the assertion degrades to a collapse guard, like
 /// `shard_scaling`'s smoke test.
 #[test]
 #[ignore = "wall-clock measurement; run via `cargo test --release -- --ignored`"]
@@ -59,31 +58,21 @@ fn mmap_ooc_safe_phase_scales_with_shards() {
 
     let (mmap1, p1) = ooc_mmap_backend("ooc-scaling-test-m1");
     let (mmap4, p2) = ooc_mmap_backend("ooc-scaling-test-m4");
-    let (legacy4, p3) = ooc_backend("ooc-scaling-test-l4", 4096);
     let serial = throughput_at(mmap1, 1, &preload, &session_streams, cfg.num_vertices());
     let sharded = throughput_at(mmap4, 4, &preload, &session_streams, cfg.num_vertices());
-    let legacy = throughput_at(legacy4, 4, &preload, &session_streams, cfg.num_vertices());
-    for p in [p1, p2, p3] {
+    for p in [p1, p2] {
         remove_ooc_files(&p);
     }
 
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    eprintln!(
-        "ooc-mmap: 1 shard {serial:.0}/s, 4 shards {sharded:.0}/s; \
-         legacy ooc 4 shards {legacy:.0}/s ({cores} cores)"
-    );
+    eprintln!("ooc-mmap: 1 shard {serial:.0}/s, 4 shards {sharded:.0}/s ({cores} cores)");
     if cores >= 8 {
         assert!(
             sharded > serial * 1.2,
             "ooc-mmap 4 shards ({sharded:.0}/s) should beat its serial \
              coordinator ({serial:.0}/s) by ≥1.2x on {cores} cores"
-        );
-        assert!(
-            sharded > legacy * 1.2,
-            "ooc-mmap 4 shards ({sharded:.0}/s) should beat the \
-             global-mutex store at 4 shards ({legacy:.0}/s)"
         );
     } else {
         assert!(

@@ -1596,8 +1596,9 @@ fn run_epochs(
                 }
             }
             phases[Phase::BarrierWait as usize] = t_barrier.elapsed().as_nanos() as u64;
-            // Demoted suffixes go back to the front of their queues.
-            gather.requeue(safe.leftovers, safe.stopped);
+            // Demoted suffixes go back to the front of their queues,
+            // with their sessions' unsafe updates behind them.
+            gather.requeue(safe.leftovers, safe.stopped, &mut buf.unsafe_queue);
         }
 
         // ---- Unsafe phase ------------------------------------------

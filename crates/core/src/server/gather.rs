@@ -136,7 +136,33 @@ impl Gather {
     /// Put what the safe phase handed back — demoted updates and what
     /// was gathered behind them, in submission order — at the front of
     /// their queues, and carry the `stopped` sessions they belong to.
-    pub(super) fn requeue(&mut self, leftovers: Vec<Envelope>, stopped: Vec<u64>) {
+    ///
+    /// A stopped session may also have its first unsafe update on
+    /// `unsafe_queue` (at most one: a pass stops a session there). It
+    /// was submitted after the leftovers, so it is taken back off and
+    /// queued behind them rather than run and answered in this epoch.
+    pub(super) fn requeue(
+        &mut self,
+        leftovers: Vec<Envelope>,
+        stopped: Vec<u64>,
+        unsafe_queue: &mut VecDeque<Envelope>,
+    ) {
+        if stopped.is_empty() {
+            return;
+        }
+        // One pass that keeps the rest of the queue in arrival order.
+        for _ in 0..unsafe_queue.len() {
+            let env = unsafe_queue.pop_front().expect("counted");
+            if stopped.contains(&env.session) {
+                self.pending
+                    .entry(env.session)
+                    .or_default()
+                    .queue
+                    .push_front(env);
+            } else {
+                unsafe_queue.push_back(env);
+            }
+        }
         for env in leftovers.into_iter().rev() {
             self.pending
                 .entry(env.session)
@@ -272,10 +298,53 @@ mod tests {
         };
         gather.begin_epoch();
         // Handed back by the safe phase: A's 10 (demoted) and 11, B's 20.
-        gather.requeue(vec![make(5, 10), make(6, 20), make(5, 11)], vec![5, 6]);
+        gather.requeue(
+            vec![make(5, 10), make(6, 20), make(5, 11)],
+            vec![5, 6],
+            &mut buf.unsafe_queue,
+        );
         gather.begin_epoch();
         gather.receive(make(5, 30));
         gather.classify(&server.shared, &mut buf);
         assert_eq!(tags(&buf).0, [10, 11, 30, 20]);
+    }
+
+    /// A demotion holds back its session's unsafe update too: gathered
+    /// in the same epoch behind the demoted one, it leaves the unsafe
+    /// queue and waits behind the leftovers, while another session's
+    /// unsafe update stays and runs this epoch.
+    #[test]
+    fn requeue_holds_back_the_stopped_sessions_unsafe_update() {
+        let server = chain_server();
+        let mut gather = Gather::new(1 << 20);
+        let mut buf = EpochBuf {
+            safe_parts: vec![Vec::new()],
+            safe_count: 0,
+            unsafe_queue: VecDeque::new(),
+        };
+        let chord = Update::InsEdge(Edge::new(2, 0, 0));
+        let tree_edge = Update::DelEdge(Edge::new(1, 2, 0));
+        let mut keep = Vec::new();
+        let mut make = |sid, tag, u| {
+            let (env, rx) = envelope(sid, tag, u);
+            keep.push(rx);
+            env
+        };
+        gather.begin_epoch();
+        // Gathered: A's 10, 11 (safe) and 12 (unsafe), B's 20 (unsafe).
+        // The safe phase demoted A's 10 and stopped A.
+        buf.unsafe_queue
+            .extend([make(5, 12, tree_edge), make(6, 20, tree_edge)]);
+        gather.requeue(
+            vec![make(5, 10, chord), make(5, 11, chord)],
+            vec![5],
+            &mut buf.unsafe_queue,
+        );
+        assert_eq!(tags(&buf), (vec![], vec![20]));
+
+        buf.unsafe_queue.clear();
+        gather.begin_epoch();
+        gather.classify(&server.shared, &mut buf);
+        assert_eq!(tags(&buf), (vec![10, 11], vec![12]));
     }
 }

@@ -5,8 +5,8 @@
 //! dispatch, but the server/CLI tier needs *one* concrete type so
 //! sessions, the WAL and the history store stay non-generic. `AnyStore`
 //! is that type: a closed enum over the six in-memory layouts of
-//! Table 8/9 plus the §6.3 out-of-core prototype, selected at runtime
-//! (`--store ia-hash|ia-btree|ia-art|io-hash|io-btree|io-art|ooc`).
+//! Table 8/9 plus the §6.3 out-of-core store, selected at runtime
+//! (`--store ia-hash|ia-btree|ia-art|io-hash|io-btree|io-art|ooc-mmap`).
 
 use std::path::PathBuf;
 
@@ -17,12 +17,8 @@ use crate::adjacency::{DeleteOutcome, InsertOutcome};
 use crate::graph::DynamicGraph;
 use crate::index::{art::ArtIndex, btree::BTreeIndex, hash::HashIndex};
 use crate::index_only::IndexOnlyStore;
-use crate::ooc::OocStore;
 use crate::ooc_mmap::MmapOocStore;
 use crate::store::{GraphStore, StoreConfig, StoreStats};
-
-/// Default block-cache size for the OOC backend (4 KiB blocks; 16 MiB).
-pub const DEFAULT_OOC_CACHE_BLOCKS: usize = 4096;
 
 /// Which storage layout to open.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -40,16 +36,8 @@ pub enum BackendKind {
     IoBtree,
     /// Index-only store, ART indexes.
     IoArt,
-    /// Out-of-core block store (§6.3 prototype; explicit block I/O
-    /// behind a global mutex — the durability-conservative default).
-    Ooc {
-        /// Backing file; `None` creates a fresh temp file.
-        path: Option<PathBuf>,
-        /// Block-cache size in 4 KiB blocks.
-        cache_blocks: usize,
-    },
-    /// Concurrent mmap-backed out-of-core store (§6.3, the paper's
-    /// actual mmap design): per-vertex lock striping + chain indexes.
+    /// The mmap-backed out-of-core store (§6.3): per-vertex lock
+    /// striping + chain indexes.
     OocMmap {
         /// Backing file; `None` creates a fresh temp file.
         path: Option<PathBuf>,
@@ -57,7 +45,7 @@ pub enum BackendKind {
 }
 
 impl BackendKind {
-    /// Parse a CLI spelling (`ia-hash`, `io-btree`, `ooc`, …).
+    /// Parse a CLI spelling (`ia-hash`, `io-btree`, `ooc-mmap`, …).
     pub fn parse(s: &str) -> Option<Self> {
         Some(match s.to_ascii_lowercase().as_str() {
             "ia-hash" | "ia_hash" => BackendKind::IaHash,
@@ -66,10 +54,6 @@ impl BackendKind {
             "io-hash" | "io_hash" => BackendKind::IoHash,
             "io-btree" | "io_btree" => BackendKind::IoBtree,
             "io-art" | "io_art" => BackendKind::IoArt,
-            "ooc" => BackendKind::Ooc {
-                path: None,
-                cache_blocks: DEFAULT_OOC_CACHE_BLOCKS,
-            },
             "ooc-mmap" | "ooc_mmap" => BackendKind::OocMmap { path: None },
             _ => return None,
         })
@@ -77,7 +61,7 @@ impl BackendKind {
 
     /// The CLI spellings accepted by [`Self::parse`].
     pub const CLI_CHOICES: &'static str =
-        "ia-hash|ia-btree|ia-art|io-hash|io-btree|io-art|ooc|ooc-mmap";
+        "ia-hash|ia-btree|ia-art|io-hash|io-btree|io-art|ooc-mmap";
 
     /// The backend named by the `RISGRAPH_STORE` environment variable
     /// (any [`Self::parse`] spelling), or the default (IA_Hash) when
@@ -85,9 +69,9 @@ impl BackendKind {
     /// default agree on.
     ///
     /// An unrecognized non-empty value **panics**: the variable exists
-    /// to redirect whole test runs onto another backend (the
-    /// `test-ooc-mmap` CI leg), and a silent fallback would let a typo
-    /// turn that coverage into a green no-op.
+    /// to redirect whole test runs onto another backend (the `ooc-mmap`
+    /// legs of the CI config matrix), and a silent fallback would let a
+    /// typo turn that coverage into a green no-op.
     pub fn from_env() -> Self {
         match std::env::var("RISGRAPH_STORE") {
             Ok(s) if !s.is_empty() => Self::parse(&s).unwrap_or_else(|| {
@@ -109,7 +93,6 @@ impl BackendKind {
             BackendKind::IoHash => "IO_Hash",
             BackendKind::IoBtree => "IO_BTree",
             BackendKind::IoArt => "IO_ART",
-            BackendKind::Ooc { .. } => "OOC",
             BackendKind::OocMmap { .. } => "OOC_MMAP",
         }
     }
@@ -141,9 +124,7 @@ pub enum AnyStore {
     IoBtree(IndexOnlyStore<BTreeIndex>),
     /// IO + ART.
     IoArt(IndexOnlyStore<ArtIndex>),
-    /// Out-of-core block store.
-    Ooc(OocStore),
-    /// Concurrent mmap-backed out-of-core store.
+    /// The mmap-backed out-of-core store.
     OocMmap(MmapOocStore),
 }
 
@@ -159,10 +140,6 @@ impl AnyStore {
             BackendKind::IoHash => AnyStore::IoHash(IndexOnlyStore::with_capacity(capacity)),
             BackendKind::IoBtree => AnyStore::IoBtree(IndexOnlyStore::with_capacity(capacity)),
             BackendKind::IoArt => AnyStore::IoArt(IndexOnlyStore::with_capacity(capacity)),
-            BackendKind::Ooc { path, cache_blocks } => AnyStore::Ooc(match path {
-                Some(p) => OocStore::create(p, capacity, *cache_blocks)?,
-                None => OocStore::create_temp(capacity, *cache_blocks)?,
-            }),
             BackendKind::OocMmap { path } => AnyStore::OocMmap(match path {
                 Some(p) => MmapOocStore::create(p, capacity)?,
                 None => MmapOocStore::create_temp(capacity)?,
@@ -180,7 +157,6 @@ macro_rules! dispatch {
             AnyStore::IoHash($s) => $body,
             AnyStore::IoBtree($s) => $body,
             AnyStore::IoArt($s) => $body,
-            AnyStore::Ooc($s) => $body,
             AnyStore::OocMmap($s) => $body,
         }
     };
@@ -340,26 +316,22 @@ mod tests {
     #[test]
     fn parse_roundtrips_all_labels() {
         for spelling in [
-            "ia-hash", "ia-btree", "ia-art", "io-hash", "io-btree", "io-art", "ooc", "ooc-mmap",
+            "ia-hash", "ia-btree", "ia-art", "io-hash", "io-btree", "io-art", "ooc-mmap",
         ] {
             let kind = BackendKind::parse(spelling).expect(spelling);
             let store = AnyStore::open(&kind, 16, StoreConfig::default()).unwrap();
             assert_eq!(store.backend_name(), kind.label());
         }
         assert!(BackendKind::parse("lsm").is_none());
+        // The one out-of-core store answers to `ooc-mmap` only.
+        assert!(BackendKind::parse("ooc").is_none());
     }
 
     #[test]
     fn every_backend_speaks_dynamic_graph() {
         let kinds: Vec<BackendKind> = BackendKind::table8_matrix()
             .into_iter()
-            .chain([
-                BackendKind::Ooc {
-                    path: None,
-                    cache_blocks: 8,
-                },
-                BackendKind::OocMmap { path: None },
-            ])
+            .chain([BackendKind::OocMmap { path: None }])
             .collect();
         for kind in kinds {
             let mut store = AnyStore::open(&kind, 16, StoreConfig::default()).unwrap();

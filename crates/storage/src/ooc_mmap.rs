@@ -1,28 +1,33 @@
-//! Concurrent mmap-backed out-of-core store (§6.3, the paper's actual
-//! design: "We use mmap to build a prototype that swaps to an SSD").
+//! The out-of-core graph store (§6.3: "We use mmap to build a prototype
+//! that swaps to an SSD").
 //!
-//! [`MmapOocStore`] keeps the legacy [`crate::ooc::OocStore`]'s on-disk
-//! layout — adjacency lists in 4 KiB file blocks chained per vertex,
-//! forward and transpose, 20-byte `(neighbour, weight, count)` records —
-//! but replaces both of its §6.3-prototype bottlenecks:
+//! [`MmapOocStore`] keeps adjacency lists in 4 KiB file blocks chained
+//! per vertex — forward *and* transpose, since the incremental model
+//! needs reverse traversal during deletion recovery (§5) — as 20-byte
+//! `(neighbour, weight, count)` records, so update semantics (duplicate
+//! counting, tombstoning) match the in-memory stores exactly.
 //!
-//! * **Global mutex → per-vertex lock striping.** The legacy store
-//!   serializes *every* operation behind one `Mutex<Inner>`, so the
-//!   sharded safe phase (PR 2) collapses to serial execution on the OOC
-//!   backend. Here each direction has [`STRIPES`] `RwLock` stripes over
-//!   the per-vertex chain directories; a block belongs to exactly one
-//!   `(vertex, direction)` chain, so holding the owning stripe lock
-//!   grants exclusive access to its bytes and commuting safe updates on
-//!   distinct vertices proceed concurrently. Lock order is the same as
+//! * **Per-vertex lock striping.** Each direction has [`STRIPES`]
+//!   `RwLock` stripes over the per-vertex chain directories; a block
+//!   belongs to exactly one `(vertex, direction)` chain, so holding the
+//!   owning stripe lock grants exclusive access to its bytes and
+//!   commuting safe updates on distinct vertices proceed concurrently
+//!   from the shard executors. Lock order is the same as
 //!   [`crate::GraphStore`]: out-stripe before in-stripe, never the
 //!   reverse, which keeps the two-lock acquisition deadlock-free.
-//! * **O(chain) `find` → per-vertex chain index.** The legacy store
-//!   walks every block of a vertex's chain to locate a record; on hub
-//!   vertices that is a linear scan per update. Each chain directory
-//!   here carries a `(neighbour, weight) → (block, slot)` hash index
-//!   (tombstones included, so revival hits the same slot), making
+//! * **Per-vertex chain index.** Each chain directory carries a
+//!   `(neighbour, weight) → (block, slot)` hash index (tombstones
+//!   included, so revival hits the same slot), making
 //!   `find`/`delete_edge_if`/`edge_count` O(1) regardless of degree,
 //!   plus an O(1) live-degree counter.
+//!
+//! **A large-degree store.** Every `(vertex, direction)` chain that holds
+//! an edge owns at least one whole block, so a graph of low-degree
+//! vertices pays up to two 4 KiB blocks per vertex: the layer harness
+//! measures ≈ 1 073 B/edge (`storage.ooc_mmap.bytes_per_edge`) against
+//! ≈ 76–80 for the in-memory IA stores. The layout pays off for hubs,
+//! whose chains fill their blocks, and when the graph does not fit in
+//! memory at all.
 //!
 //! The block file is `mmap`ed `MAP_SHARED` (raw `mmap`/`munmap`/`msync`
 //! FFI — the registry-less build environment has no `memmap2`), so block
@@ -45,9 +50,8 @@
 //! recompute (or WAL replay) on top — the store only persists
 //! structure.
 //!
-//! Out/in chain desyncs are surfaced as [`Error::Corruption`] (not a
-//! release-silent `debug_assert!`), matching the legacy store's
-//! hardened contract.
+//! Out/in chain desyncs are surfaced as [`Error::Corruption`], not as a
+//! release-silent `debug_assert!`.
 
 use std::fs::{File, OpenOptions};
 use std::os::raw::{c_int, c_void};
@@ -62,10 +66,36 @@ use risgraph_common::{Error, Result};
 
 use crate::adjacency::{DeleteOutcome, InsertOutcome};
 use crate::graph::{DynamicGraph, VertexTable};
-use crate::ooc::{
-    read_record, record_count, set_record_count, write_record, BLOCK_SIZE, RECORDS_PER_BLOCK,
-};
 use crate::store::StoreStats;
+
+const BLOCK_SIZE: usize = 4096;
+/// 20-byte records: neighbour(8) weight(8) count(4).
+const RECORD_SIZE: usize = 20;
+const RECORDS_PER_BLOCK: usize = (BLOCK_SIZE - 4) / RECORD_SIZE; // 4B header: record count
+
+fn read_record(block: &[u8; BLOCK_SIZE], i: usize) -> (VertexId, Weight, u32) {
+    let off = 4 + i * RECORD_SIZE;
+    (
+        u64::from_le_bytes(block[off..off + 8].try_into().unwrap()),
+        u64::from_le_bytes(block[off + 8..off + 16].try_into().unwrap()),
+        u32::from_le_bytes(block[off + 16..off + 20].try_into().unwrap()),
+    )
+}
+
+fn write_record(block: &mut [u8; BLOCK_SIZE], i: usize, nbr: VertexId, w: Weight, count: u32) {
+    let off = 4 + i * RECORD_SIZE;
+    block[off..off + 8].copy_from_slice(&nbr.to_le_bytes());
+    block[off + 8..off + 16].copy_from_slice(&w.to_le_bytes());
+    block[off + 16..off + 20].copy_from_slice(&count.to_le_bytes());
+}
+
+fn record_count(block: &[u8; BLOCK_SIZE]) -> usize {
+    u32::from_le_bytes(block[..4].try_into().unwrap()) as usize
+}
+
+fn set_record_count(block: &mut [u8; BLOCK_SIZE], n: usize) {
+    block[..4].copy_from_slice(&(n as u32).to_le_bytes());
+}
 
 /// Raw mmap bindings: the environment vendors offline shims instead of
 /// crates.io, and `memmap2` is not among them, so the store declares the
@@ -150,8 +180,7 @@ struct VertexDir {
     /// Block ids of the chain, in append order.
     chain: Vec<u32>,
     /// `(neighbour, weight) → (block, slot)`, tombstones included so a
-    /// re-insert revives the original slot (identical layout to the
-    /// legacy store's linear `find`).
+    /// re-insert revives the original slot.
     index: FxHashMap<(VertexId, Weight), (u32, u32)>,
     /// Records with `count > 0`.
     live: u32,
@@ -957,8 +986,8 @@ impl DynamicGraph for MmapOocStore {
             tombstones,
             indexed_vertices: self.vertices.live(), // every chain is indexed
             // The mapping is file-backed and pageable; charge the
-            // in-heap directories plus the mapped window, mirroring the
-            // legacy store's resident-cache accounting.
+            // in-heap directories plus the whole mapped window, an
+            // upper bound on what the kernel can keep resident.
             memory_bytes: dir_bytes + self.map.read().blocks * BLOCK_SIZE,
         }
     }

@@ -103,11 +103,13 @@ pub fn drive_sessions(server: &Arc<Server>, streams: &[Vec<Update>]) -> Vec<Sess
 /// operations pending at the same time, which is what makes the
 /// coordinator's unsafe queue actually fill up — the precondition for
 /// the parallel unsafe phase (or its conflict fallback) to engage.
-/// The server executes one session's updates in submission order
-/// regardless of pipelining (the gather phase drains session queues
-/// FIFO and the first unsafe op blocks the rest), so the traces are
-/// directly comparable with [`drive_sessions`] output and feed
-/// [`assert_servers_equivalent`] unchanged.
+/// The server executes and answers one session's updates in submission
+/// order regardless of pipelining (the gather phase drains session
+/// queues FIFO, the first unsafe op blocks the rest, and a demotion
+/// holds back everything behind it), so the traces are directly
+/// comparable with [`drive_sessions`] output and feed
+/// [`assert_servers_equivalent`] unchanged. That order is asserted
+/// here: every session's replies must arrive in tag order.
 pub fn drive_sessions_pipelined(
     server: &Arc<Server>,
     streams: &[Vec<Update>],
@@ -124,18 +126,16 @@ pub fn drive_sessions_pipelined(
     sessions
         .iter()
         .zip(streams)
-        .map(|(session, stream)| {
-            let mut steps = vec![None; stream.len()];
-            for _ in 0..stream.len() {
-                let (tag, reply) = session.recv_tagged().expect("reply");
-                steps[tag as usize] = Some(reply.into());
-            }
-            SessionTrace {
-                steps: steps
-                    .into_iter()
-                    .map(|s| s.expect("reply per tag"))
-                    .collect(),
-            }
+        .enumerate()
+        .map(|(i, (session, stream))| {
+            let steps = (0..stream.len() as u64)
+                .map(|t| {
+                    let (tag, reply) = session.recv_tagged().expect("reply");
+                    assert_eq!(tag, t, "session {i}: reply out of submission order");
+                    reply.into()
+                })
+                .collect();
+            SessionTrace { steps }
         })
         .collect()
 }

@@ -50,8 +50,7 @@
 //! | `ia-hash` (default) | `GraphStore<HashIndex>` | Indexed Adjacency Lists + hash indexes |
 //! | `ia-btree` / `ia-art` | `GraphStore<_>` | ditto with B-tree / ART indexes |
 //! | `io-hash` / `io-btree` / `io-art` | `IndexOnlyStore<_>` | edges only in per-vertex indexes |
-//! | `ooc` | `OocStore` | out-of-core 4 KiB block chains + LRU cache (global mutex) |
-//! | `ooc-mmap` | `MmapOocStore` | mmap-backed block chains, per-vertex lock striping + chain indexes |
+//! | `ooc-mmap` | `MmapOocStore` | out-of-core: mmap-backed 4 KiB block chains, per-vertex lock striping + chain indexes |
 //!
 //! ```
 //! use risgraph::prelude::*;

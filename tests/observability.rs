@@ -21,8 +21,8 @@ use risgraph::common::protocol::{read_frame, write_frame, Request, Response, MAX
 use risgraph::prelude::*;
 use risgraph_net::{FollowerConfig, NetClient, NetConfig, NetServer, ReplicaServer};
 use risgraph_testkit::{
-    disjoint_session_streams, drive_net_sessions, safe_churn, server_config, unsafe_chain_preload,
-    unsafe_chain_streams, RegionStreamConfig, UnsafeChainConfig,
+    disjoint_session_streams, drive_net_sessions, remove_wal, safe_churn, server_config, temp_path,
+    unsafe_chain_preload, unsafe_chain_streams, RegionStreamConfig, UnsafeChainConfig,
 };
 
 fn wcc_algorithms() -> Vec<DynAlgorithm> {
@@ -127,6 +127,76 @@ fn metrics_opcode_reports_per_phase_epoch_histograms() {
     );
 
     net.shutdown();
+}
+
+/// The registry names the benchmark harness (`perfbench`) reads by
+/// string. Its lookups get-or-create, so a renamed or deleted metric
+/// would read 0 there instead of failing: this keeps the list alive
+/// under the workspace's own tests. Keep it in step with
+/// `perfbench/src/harness/counters.rs`.
+#[test]
+fn every_metric_the_benchmark_reads_is_registered() {
+    let wal = temp_path("bench-names.wal");
+    let cfg = RegionStreamConfig {
+        sessions: 2,
+        region: 8,
+        steps: 20,
+        seed: 5,
+        ..RegionStreamConfig::default()
+    };
+    let mut server_cfg = server_config(BackendKind::IaHash, 2);
+    server_cfg.wal_path = Some(wal.clone());
+    let net = NetServer::start(
+        wcc_algorithms(),
+        cfg.capacity(),
+        server_cfg,
+        NetConfig::default(),
+    )
+    .expect("server");
+    drive_net_sessions(net.local_addr(), &disjoint_session_streams(&cfg));
+
+    let registered: Vec<String> = net
+        .server()
+        .metrics()
+        .snapshot()
+        .into_iter()
+        .map(|(name, _)| name)
+        .collect();
+    let counters = [
+        "epoch.traced",
+        "core.safe_executed",
+        "core.unsafe_executed",
+        "core.demotions",
+        "core.unsafe_serial_fallbacks",
+        "net.admission.admitted",
+        "net.admission.shed_budget",
+        "net.admission.shed_quota",
+        "net.admission.shed_overload",
+        "wal.checkpoints",
+    ];
+    let phases = Phase::ALL
+        .iter()
+        .map(|p| format!("epoch.phase.{}_ns", p.name()));
+    let missing: Vec<String> = counters
+        .iter()
+        .map(|c| c.to_string())
+        .chain(phases)
+        .chain(
+            [
+                "epoch.total_ns",
+                "net.admission.inflight",
+                "wal.segment_lag",
+            ]
+            .map(String::from),
+        )
+        .filter(|name| !registered.contains(name))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "the benchmark would read these as 0: {missing:?}"
+    );
+    net.shutdown();
+    remove_wal(&wal);
 }
 
 #[test]

@@ -7,7 +7,7 @@
 //! 4. insert(e) then delete(e) around arbitrary noise leaves results
 //!    where the noise alone would have;
 //! 5. the same update stream driven through the engine over different
-//!    `DynamicGraph` backends (IA_Hash, IO_Hash, OOC, OOC_MMAP) yields identical
+//!    `DynamicGraph` backends (IA_Hash, IO_Hash, OOC_MMAP) yields identical
 //!    algorithm values *and* identical store contents.
 
 use proptest::prelude::*;
@@ -149,7 +149,7 @@ proptest! {
         prop_assert_eq!(store.num_edges(), total as u64);
     }
 
-    /// Invariant 5: backend-independence. One engine API, four storage
+    /// Invariant 5: backend-independence. One engine API, three storage
     /// layouts, byte-identical results — the multi-backend claim of
     /// §6.3 as a testable property.
     #[test]
@@ -160,10 +160,6 @@ proptest! {
         use std::sync::atomic::{AtomicU64, Ordering};
         static CASE: AtomicU64 = AtomicU64::new(0);
         let case = CASE.fetch_add(1, Ordering::Relaxed);
-        let ooc_path = std::env::temp_dir().join(format!(
-            "risgraph-xbackend-{}-{case}.blocks",
-            std::process::id()
-        ));
         let mmap_path = std::env::temp_dir().join(format!(
             "risgraph-xbackend-mmap-{}-{case}.blocks",
             std::process::id()
@@ -172,10 +168,6 @@ proptest! {
         let kinds = [
             BackendKind::IaHash,
             BackendKind::IoHash,
-            BackendKind::Ooc {
-                path: Some(ooc_path.clone()),
-                cache_blocks: 4, // tiny: force evictions mid-stream
-            },
             BackendKind::OocMmap {
                 path: Some(mmap_path.clone()),
             },
@@ -229,7 +221,6 @@ proptest! {
             );
         }
         drop(engines);
-        let _ = std::fs::remove_file(&ooc_path);
         risgraph_testkit::remove_ooc_files(&mmap_path);
     }
 

@@ -5,10 +5,9 @@
 //! at every returned version, same per-version modification sets, same
 //! final values and store contents. This is the §4 commutativity claim
 //! ("safe updates change no results, so they may execute in any
-//! interleaving") as an executable property, checked on three storage
-//! backends (IA_Hash, the legacy out-of-core prototype, and the
-//! concurrent mmap-backed OOC store — whose cross-backend triangle
-//! `ooc-mmap ≡ ooc ≡ IA_Hash` is asserted at shards 1 and 4).
+//! interleaving") as an executable property, checked on IA_Hash and on
+//! the mmap-backed out-of-core store, whose `ooc-mmap ≡ IA_Hash` is
+//! asserted at shards 1 and 4.
 //!
 //! Determinism protocol: each emulated session owns a disjoint vertex
 //! region ([`risgraph_testkit::disjoint_session_streams`]), so its
@@ -317,65 +316,13 @@ fn sharded_equals_serial_on_ia_hash_pipelined() {
     }
 }
 
+/// The acceptance pair for the mmap OOC store: `ooc-mmap` must be
+/// observably identical to IA_Hash at `shards = 1` and `shards = 4` —
+/// same outcomes and safety classes, same point-in-time values against
+/// the oracle, same modification sets, same final values and
+/// count-annotated store contents.
 #[test]
-fn sharded_equals_serial_on_ooc() {
-    let cfg = RegionStreamConfig {
-        sessions: 4,
-        region: 16,
-        steps: 80,
-        seed: 9,
-        ..RegionStreamConfig::default()
-    };
-    // Tiny caches force block evictions mid-stream on both servers.
-    let (ooc_a, path_a) = risgraph_testkit::ooc_backend("shard-diff-serial", 4);
-    let (ooc_b, path_b) = risgraph_testkit::ooc_backend("shard-diff-sharded", 4);
-    differential(
-        "OOC",
-        ooc_a,
-        ooc_b,
-        4,
-        &disjoint_session_streams(&cfg),
-        cfg.capacity(),
-    );
-    let _ = std::fs::remove_file(path_a);
-    let _ = std::fs::remove_file(path_b);
-}
-
-#[test]
-fn sharded_equals_serial_on_ooc_pipelined() {
-    let cfg = RegionStreamConfig {
-        sessions: 4,
-        region: 16,
-        steps: 80,
-        seed: 9,
-        max_weight: DISTINCT_WEIGHTS,
-        ..RegionStreamConfig::default()
-    };
-    let (backends, paths): (Vec<_>, Vec<_>) = (0..4)
-        .map(|i| risgraph_testkit::ooc_backend(&format!("shard-diff-four-way-{i}"), 4))
-        .unzip();
-    let [sync_a, pipe_a, sync_b, pipe_b]: [BackendKind; 4] = backends.try_into().ok().unwrap();
-    four_way(
-        "OOC",
-        ([sync_a, pipe_a], 1),
-        ([sync_b, pipe_b], 4),
-        &disjoint_session_streams(&cfg),
-        cfg.capacity(),
-    );
-    for p in paths {
-        let _ = std::fs::remove_file(p);
-    }
-}
-
-/// The acceptance triangle for the mmap OOC store: `ooc-mmap` must be
-/// observably identical to IA_Hash and to the legacy global-mutex
-/// `ooc` store, at `shards = 1` and `shards = 4` — same outcomes and
-/// safety classes, same point-in-time values against the oracle, same
-/// modification sets, same final values and count-annotated store
-/// contents. With `sharded_equals_serial_on_ooc` above this chains
-/// `ooc-mmap ≡ ooc ≡ IA_Hash` at both shard counts.
-#[test]
-fn ooc_mmap_equals_legacy_ooc_and_ia_hash() {
+fn ooc_mmap_equals_ia_hash() {
     let cfg = RegionStreamConfig {
         sessions: 4,
         region: 16,
@@ -409,33 +356,17 @@ fn ooc_mmap_equals_legacy_ooc_and_ia_hash() {
         cfg.capacity(),
     );
 
-    // Legacy ooc sharded vs ooc-mmap sharded: same epochs, same
-    // backend family, one serialized by a global mutex and one by
-    // per-vertex stripes.
-    let (ooc_s4, p) = risgraph_testkit::ooc_backend("mmap-diff-legacy", 4);
-    scratch.push(p);
-    let (mmap_s4b, p) = risgraph_testkit::ooc_mmap_backend("mmap-diff-sharded-b");
-    scratch.push(p);
-    differential_pair(
-        "OOC s4 vs OOC_MMAP s4",
-        (ooc_s4, 4),
-        (mmap_s4b, 4),
-        &streams,
-        cfg.capacity(),
-    );
-
     for p in scratch {
         risgraph_testkit::remove_ooc_files(&p);
     }
 }
 
-/// The same triangle with both safe-phase paths in play: IA_Hash serial
-/// against `ooc-mmap` sharded, then legacy `ooc` sharded against
-/// `ooc-mmap` sharded — each pair driven synchronously (inline epochs)
-/// and pipelined (dispatched epochs: the striped locks under real
-/// cross-shard concurrency).
+/// The same pair with both safe-phase paths in play: synchronous IA_Hash
+/// on one shard against `ooc-mmap` pipelined on one shard, and driven
+/// synchronously (inline epochs) and pipelined (dispatched epochs: the
+/// striped locks under real cross-shard concurrency) on four.
 #[test]
-fn ooc_mmap_equals_legacy_ooc_and_ia_hash_pipelined() {
+fn ooc_mmap_equals_ia_hash_pipelined() {
     let cfg = RegionStreamConfig {
         sessions: 4,
         region: 16,
@@ -451,23 +382,12 @@ fn ooc_mmap_equals_legacy_ooc_and_ia_hash_pipelined() {
         scratch.push(p);
         backend
     };
-    let mmap_a = [mmap("mmap-four-way-a-sync"), mmap("mmap-four-way-a-pipe")];
-    let mmap_b = [mmap("mmap-four-way-b-sync"), mmap("mmap-four-way-b-pipe")];
+    let mmap_s1_pipe = mmap("mmap-four-way-s1-pipe");
+    let mmap_s4 = [mmap("mmap-four-way-s4-sync"), mmap("mmap-four-way-s4-pipe")];
     four_way(
-        "IA_Hash s1 vs OOC_MMAP s4",
-        ([BackendKind::IaHash, BackendKind::IaHash], 1),
-        (mmap_a, 4),
-        &streams,
-        cfg.capacity(),
-    );
-    let (ooc_sync, p) = risgraph_testkit::ooc_backend("mmap-four-way-legacy-sync", 4);
-    scratch.push(p);
-    let (ooc_pipe, p) = risgraph_testkit::ooc_backend("mmap-four-way-legacy-pipe", 4);
-    scratch.push(p);
-    four_way(
-        "OOC s4 vs OOC_MMAP s4",
-        ([ooc_sync, ooc_pipe], 4),
-        (mmap_b, 4),
+        "IA_Hash vs OOC_MMAP",
+        ([BackendKind::IaHash, mmap_s1_pipe], 1),
+        (mmap_s4, 4),
         &streams,
         cfg.capacity(),
     );
@@ -596,15 +516,18 @@ struct Round {
 
 /// Inline and sharded epochs adjacent on one server. Each round, every
 /// session first trickles — building two tree edges `e`, `f` and a
-/// duplicate of each — then bursts: both copies of `e` deleted back to
-/// back, a long safe run, both copies of `f`, another safe run. The
-/// second delete of a pair is classified safe while two copies exist
-/// and fails revalidation once the first has run, so it is demoted and
-/// its session's suffix requeued: by a small epoch at the head of the
-/// burst (picked up by the sharded epoch behind it) and by a sharded
-/// epoch in its middle (picked up by whatever follows). The replies
-/// must match a serial server that saw the same streams one update at
-/// a time.
+/// duplicate of each, then a third tree edge `g` once — then bursts:
+/// both copies of `e` deleted back to back and `g` behind them, a long
+/// safe run, both copies of `f`, another safe run. The second delete of
+/// a pair is classified safe while two copies exist and fails
+/// revalidation once the first has run, so it is demoted and its
+/// session's suffix requeued: by a small epoch at the head of the burst
+/// (picked up by the sharded epoch behind it) and by a sharded epoch in
+/// its middle (picked up by whatever follows). The delete of `g` is
+/// unsafe and gathered in the demoting epoch: it must wait behind the
+/// demoted delete, not run in that epoch's unsafe phase and be answered
+/// first. The replies must match a serial server that saw the same
+/// streams one update at a time.
 #[test]
 fn trickle_and_burst_share_one_server() {
     const SESSIONS: u64 = 4;
@@ -616,15 +539,16 @@ fn trickle_and_burst_share_one_server() {
     let plan: Vec<Round> = (0..SESSIONS)
         .map(|i| {
             let lo = 1 + i * REGION;
-            let (e, f) = (Edge::new(lo, lo + 1, 7), Edge::new(lo, lo + 2, 7));
+            let [e, f, g] = [1, 2, 3].map(|d| Edge::new(lo, lo + d, 7));
             let safe_run = |u: Update| std::iter::repeat_n(u, SAFE_TAIL);
             let loop_edge = Edge::new(lo + 3, lo + 3, 0);
             Round {
-                trickle: [e, e, f, f].map(Update::InsEdge).to_vec(),
-                burst: [Update::DelEdge(e), Update::DelEdge(e)]
+                trickle: [e, e, f, f, g].map(Update::InsEdge).to_vec(),
+                burst: [e, e, g]
+                    .map(Update::DelEdge)
                     .into_iter()
                     .chain(safe_run(Update::InsEdge(loop_edge)))
-                    .chain([Update::DelEdge(f), Update::DelEdge(f)])
+                    .chain([f, f].map(Update::DelEdge))
                     .chain(safe_run(Update::DelEdge(loop_edge)))
                     .collect(),
             }
@@ -787,25 +711,6 @@ fn sharded_equals_serial_big() {
             cfg.capacity(),
         );
     }
-    let cfg = RegionStreamConfig {
-        sessions: 6,
-        region: 24,
-        steps: 300,
-        seed: 43,
-        ..RegionStreamConfig::default()
-    };
-    let (ooc_a, path_a) = risgraph_testkit::ooc_backend("shard-diff-big-serial", 8);
-    let (ooc_b, path_b) = risgraph_testkit::ooc_backend("shard-diff-big-sharded", 8);
-    differential(
-        "big OOC",
-        ooc_a,
-        ooc_b,
-        4,
-        &disjoint_session_streams(&cfg),
-        cfg.capacity(),
-    );
-    let _ = std::fs::remove_file(path_a);
-    let _ = std::fs::remove_file(path_b);
     let (mmap_a, path_a) = risgraph_testkit::ooc_mmap_backend("shard-diff-big-mmap-serial");
     let (mmap_b, path_b) = risgraph_testkit::ooc_mmap_backend("shard-diff-big-mmap-sharded");
     let cfg = RegionStreamConfig {
