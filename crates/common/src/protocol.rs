@@ -38,8 +38,8 @@
 //! The request vocabulary mirrors the paper's Interactive API (Table 1)
 //! exactly: `ins_edge`/`del_edge`/`ins_vertex`/`del_vertex`,
 //! `txn_updates`, `get_value`/`get_parent`/`get_modified_vertices`/
-//! `get_current_version`, `release_history`, plus a `stats` probe that
-//! reports the server's client-observed latency percentiles.
+//! `get_current_version`, `release_history`, plus a `metrics` probe
+//! returning the server's metrics registry.
 //!
 //! **Replication** rides the same framing: a follower sends one
 //! [`Request::Subscribe`] naming the next feed record it needs, and the
@@ -100,7 +100,6 @@ const OP_GET_PARENT: u8 = 0x11;
 const OP_GET_MODIFIED: u8 = 0x12;
 const OP_CURRENT_VERSION: u8 = 0x13;
 const OP_RELEASE: u8 = 0x20;
-const OP_STATS: u8 = 0x30;
 const OP_METRICS: u8 = 0x31;
 const OP_SUBSCRIBE: u8 = 0x40;
 const OP_HELLO: u8 = 0x50;
@@ -114,7 +113,6 @@ const RE_PARENT: u8 = 0x84;
 const RE_MODIFIED: u8 = 0x85;
 const RE_VERSION: u8 = 0x86;
 const RE_RELEASED: u8 = 0x87;
-const RE_STATS: u8 = 0x88;
 const RE_METRICS: u8 = 0x89;
 const RE_WAL_EPOCH: u8 = 0x90;
 const RE_HEARTBEAT: u8 = 0x91;
@@ -167,12 +165,9 @@ pub enum Request {
     /// `release_history(version)`: this connection's session no longer
     /// needs snapshots strictly older than `version`.
     Release(VersionId),
-    /// Server counters + latency percentiles.
-    Stats,
     /// The full metrics-registry snapshot as schema-less
-    /// `(name, typed value)` pairs ([`Response::Metrics`]). Unlike
-    /// [`Request::Stats`]'s fixed-field [`StatsReport`], new metrics
-    /// never break old clients: unknown value kinds are skipped by the
+    /// `(name, typed value)` pairs ([`Response::Metrics`]): new metrics
+    /// never break old clients — unknown value kinds are skipped by the
     /// decoder, and names the client does not recognize are simply
     /// extra rows.
     Metrics,
@@ -384,56 +379,6 @@ impl std::fmt::Display for BusyCause {
     }
 }
 
-/// The server-counter snapshot served by [`Request::Stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StatsReport {
-    /// Latest assigned result version.
-    pub version: u64,
-    /// Epoch loops completed.
-    pub epochs: u64,
-    /// Updates executed on the parallel safe path.
-    pub safe_executed: u64,
-    /// Updates executed on the serial unsafe path.
-    pub unsafe_executed: u64,
-    /// Safe-phase demotions.
-    pub demotions: u64,
-    /// Current scheduler threshold.
-    pub threshold: u64,
-    /// Samples in the completion-latency histogram.
-    pub latency_count: u64,
-    /// P50 completion latency (submission → reply), nanoseconds.
-    pub latency_p50_ns: u64,
-    /// P99 completion latency, nanoseconds.
-    pub latency_p99_ns: u64,
-    /// P999 completion latency, nanoseconds — the paper's headline.
-    pub latency_p999_ns: u64,
-    /// Worst completion latency, nanoseconds.
-    pub latency_max_ns: u64,
-    /// Replication: active followers (leader) — 0 on a replica.
-    pub followers: u64,
-    /// Replication: feed records published (leader) or applied
-    /// (replica).
-    pub replication_records: u64,
-    /// Replication: result-version lag behind the leader (replica) —
-    /// 0 on a leader.
-    pub replication_lag: u64,
-    /// Unsafe phase-split: conflict groups executed concurrently by
-    /// the parallel unsafe phase (0 with `unsafe_workers = 1`).
-    pub unsafe_parallel_groups: u64,
-    /// Unsafe phase-split: epochs where the parallel unsafe phase
-    /// declined (overlap / probe overflow) and ran serially instead.
-    pub unsafe_serial_fallbacks: u64,
-    /// Epochs sampled in the unsafe-phase duration histogram (epochs
-    /// that executed any unsafe work).
-    pub unsafe_phase_count: u64,
-    /// P50 per-epoch unsafe-phase duration, nanoseconds.
-    pub unsafe_phase_p50_ns: u64,
-    /// P99 per-epoch unsafe-phase duration, nanoseconds.
-    pub unsafe_phase_p99_ns: u64,
-    /// P999 per-epoch unsafe-phase duration, nanoseconds.
-    pub unsafe_phase_p999_ns: u64,
-}
-
 /// A server → client message (one per frame, after the echoed id).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
@@ -464,8 +409,6 @@ pub enum Response {
     Version(u64),
     /// `release_history` acknowledgement.
     Released,
-    /// `stats` answer.
-    Stats(StatsReport),
     /// `metrics` answer: the registry snapshot, sorted by name. Each
     /// entry is self-describing on the wire
     /// (`[name][kind: u8][len: u32][payload]`), so decoders skip
@@ -544,18 +487,10 @@ fn put_wal_epoch(buf: &mut Vec<u8>, rec: &FeedRecord) {
     put_u64(buf, rec.index);
     buf.push(u8::from(rec.bootstrap));
     put_u64(buf, rec.safe_versions);
-    put_u32(buf, rec.safe_updates.len() as u32);
-    for u in &rec.safe_updates {
-        buf.push(update_opcode(u));
-        put_update_body(buf, u);
-    }
+    put_updates(buf, &rec.safe_updates);
     put_u32(buf, rec.unsafe_groups.len() as u32);
     for group in &rec.unsafe_groups {
-        put_u32(buf, group.len() as u32);
-        for u in group {
-            buf.push(update_opcode(u));
-            put_update_body(buf, u);
-        }
+        put_updates(buf, group);
     }
 }
 
@@ -630,14 +565,20 @@ fn put_string(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
-fn put_update_body(buf: &mut Vec<u8>, u: &Update) {
-    match u {
+/// Append one update in its one encoding: its request opcode
+/// (`0x01`–`0x04`) followed by its fields as little-endian `u64`s. An
+/// update request, a transaction, a feed record, a snapshot chunk, a
+/// write-ahead-log record and a checkpoint's structure section all
+/// carry updates in this form.
+pub fn put_update(buf: &mut impl Extend<u8>, u: &Update) {
+    buf.extend([update_opcode(u)]);
+    match *u {
         Update::InsEdge(e) | Update::DelEdge(e) => {
-            put_u64(buf, e.src);
-            put_u64(buf, e.dst);
-            put_u64(buf, e.data);
+            for word in [e.src, e.dst, e.data] {
+                buf.extend(word.to_le_bytes());
+            }
         }
-        Update::InsVertex(v) | Update::DelVertex(v) => put_u64(buf, *v),
+        Update::InsVertex(v) | Update::DelVertex(v) => buf.extend(v.to_le_bytes()),
     }
 }
 
@@ -647,6 +588,14 @@ fn update_opcode(u: &Update) -> u8 {
         Update::DelEdge(_) => OP_DEL_EDGE,
         Update::InsVertex(_) => OP_INS_VERTEX,
         Update::DelVertex(_) => OP_DEL_VERTEX,
+    }
+}
+
+/// `[count: u32 LE]` then `count` updates as [`put_update`] writes them.
+fn put_updates(buf: &mut Vec<u8>, updates: &[Update]) {
+    put_u32(buf, updates.len() as u32);
+    for u in updates {
+        put_update(buf, u);
     }
 }
 
@@ -660,6 +609,35 @@ fn read_update(op: u8, c: &mut Cursor<'_>) -> Result<Update> {
     })
 }
 
+/// Read what [`put_updates`] wrote. Each update is at least 9 bytes, so
+/// a count the rest of the payload cannot hold is refused before
+/// anything is allocated.
+fn read_updates(c: &mut Cursor<'_>) -> Result<Vec<Update>> {
+    let n = c.u32()? as usize;
+    let left = c.buf.len() - c.pos;
+    if n > left / 9 {
+        return Err(Error::Protocol(format!(
+            "update count {n} exceeds the {left} bytes left"
+        )));
+    }
+    let mut updates = Vec::with_capacity(n);
+    for _ in 0..n {
+        let op = c.u8()?;
+        updates.push(read_update(op, c)?);
+    }
+    Ok(updates)
+}
+
+/// Decode a payload that is exactly `[count: u32 LE]` plus `count`
+/// updates in [`put_update`] form — the body of a write-ahead-log
+/// record or of a checkpoint's structure section.
+pub fn decode_updates(payload: &[u8]) -> Result<Vec<Update>> {
+    let mut c = Cursor::new(payload);
+    let updates = read_updates(&mut c)?;
+    c.finished()?;
+    Ok(updates)
+}
+
 // ---------------------------------------------------------------------
 // Message codecs
 // ---------------------------------------------------------------------
@@ -669,17 +647,10 @@ fn read_update(op: u8, c: &mut Cursor<'_>) -> Result<Update> {
 /// no-nesting rule.
 fn put_request_body(buf: &mut Vec<u8>, req: &Request) {
     match req {
-        Request::Update(u) => {
-            buf.push(update_opcode(u));
-            put_update_body(buf, u);
-        }
+        Request::Update(u) => put_update(buf, u),
         Request::Txn(updates) => {
             buf.push(OP_TXN);
-            put_u32(buf, updates.len() as u32);
-            for u in updates {
-                buf.push(update_opcode(u));
-                put_update_body(buf, u);
-            }
+            put_updates(buf, updates);
         }
         Request::GetValue {
             algo,
@@ -711,7 +682,6 @@ fn put_request_body(buf: &mut Vec<u8>, req: &Request) {
             buf.push(OP_RELEASE);
             put_u64(buf, *version);
         }
-        Request::Stats => buf.push(OP_STATS),
         Request::Metrics => buf.push(OP_METRICS),
         Request::Subscribe { from } => {
             buf.push(OP_SUBSCRIBE);
@@ -732,30 +702,12 @@ fn put_request_body(buf: &mut Vec<u8>, req: &Request) {
 /// Decode a request's body given its already-read opcode. `in_session`
 /// forbids the v2 wrapper opcodes (no nested `InSession`, no `Hello`
 /// inside a session).
-fn read_request_body(
-    op: u8,
-    c: &mut Cursor<'_>,
-    payload: &[u8],
-    in_session: bool,
-) -> Result<Request> {
+fn read_request_body(op: u8, c: &mut Cursor<'_>, in_session: bool) -> Result<Request> {
     Ok(match op {
         OP_INS_EDGE | OP_DEL_EDGE | OP_INS_VERTEX | OP_DEL_VERTEX => {
             Request::Update(read_update(op, c)?)
         }
-        OP_TXN => {
-            let n = c.u32()? as usize;
-            // Each update is at least 9 bytes; an impossible count
-            // is rejected before allocation.
-            if n > payload.len() / 9 + 1 {
-                return Err(Error::Protocol(format!("txn count {n} exceeds payload")));
-            }
-            let mut updates = Vec::with_capacity(n);
-            for _ in 0..n {
-                let tag = c.u8()?;
-                updates.push(read_update(tag, c)?);
-            }
-            Request::Txn(updates)
-        }
+        OP_TXN => Request::Txn(read_updates(c)?),
         OP_GET_VALUE => Request::GetValue {
             algo: c.u32()?,
             version: c.u64()?,
@@ -772,7 +724,6 @@ fn read_request_body(
         },
         OP_CURRENT_VERSION => Request::CurrentVersion,
         OP_RELEASE => Request::Release(c.u64()?),
-        OP_STATS => Request::Stats,
         OP_METRICS => Request::Metrics,
         OP_SUBSCRIBE => Request::Subscribe { from: c.u64()? },
         OP_HELLO if !in_session => Request::Hello { version: c.u32()? },
@@ -784,7 +735,7 @@ fn read_request_body(
         OP_SESSION if !in_session => {
             let sid = c.u64()?;
             let inner_op = c.u8()?;
-            let req = read_request_body(inner_op, c, payload, true)?;
+            let req = read_request_body(inner_op, c, true)?;
             Request::InSession {
                 sid,
                 req: Box::new(req),
@@ -827,7 +778,7 @@ impl Request {
         let mut c = Cursor::new(payload);
         let req_id = c.u64()?;
         let op = c.u8()?;
-        let req = read_request_body(op, &mut c, payload, false)?;
+        let req = read_request_body(op, &mut c, false)?;
         c.finished()?;
         Ok((req_id, req))
     }
@@ -886,33 +837,6 @@ impl Response {
                 put_u64(&mut buf, *v);
             }
             Response::Released => buf.push(RE_RELEASED),
-            Response::Stats(s) => {
-                buf.push(RE_STATS);
-                for v in [
-                    s.version,
-                    s.epochs,
-                    s.safe_executed,
-                    s.unsafe_executed,
-                    s.demotions,
-                    s.threshold,
-                    s.latency_count,
-                    s.latency_p50_ns,
-                    s.latency_p99_ns,
-                    s.latency_p999_ns,
-                    s.latency_max_ns,
-                    s.followers,
-                    s.replication_records,
-                    s.replication_lag,
-                    s.unsafe_parallel_groups,
-                    s.unsafe_serial_fallbacks,
-                    s.unsafe_phase_count,
-                    s.unsafe_phase_p50_ns,
-                    s.unsafe_phase_p99_ns,
-                    s.unsafe_phase_p999_ns,
-                ] {
-                    put_u64(&mut buf, v);
-                }
-            }
             Response::Metrics(entries) => {
                 buf.push(RE_METRICS);
                 put_u32(&mut buf, entries.len() as u32);
@@ -947,11 +871,7 @@ impl Response {
             }
             Response::SnapshotChunk(updates) => {
                 buf.push(RE_SNAPSHOT_CHUNK);
-                put_u32(&mut buf, updates.len() as u32);
-                for u in updates {
-                    buf.push(update_opcode(u));
-                    put_update_body(&mut buf, u);
-                }
+                put_updates(&mut buf, updates);
             }
             Response::SnapshotDone {
                 resume_index,
@@ -1014,28 +934,6 @@ impl Response {
             }
             RE_VERSION => Response::Version(c.u64()?),
             RE_RELEASED => Response::Released,
-            RE_STATS => Response::Stats(StatsReport {
-                version: c.u64()?,
-                epochs: c.u64()?,
-                safe_executed: c.u64()?,
-                unsafe_executed: c.u64()?,
-                demotions: c.u64()?,
-                threshold: c.u64()?,
-                latency_count: c.u64()?,
-                latency_p50_ns: c.u64()?,
-                latency_p99_ns: c.u64()?,
-                latency_p999_ns: c.u64()?,
-                latency_max_ns: c.u64()?,
-                followers: c.u64()?,
-                replication_records: c.u64()?,
-                replication_lag: c.u64()?,
-                unsafe_parallel_groups: c.u64()?,
-                unsafe_serial_fallbacks: c.u64()?,
-                unsafe_phase_count: c.u64()?,
-                unsafe_phase_p50_ns: c.u64()?,
-                unsafe_phase_p99_ns: c.u64()?,
-                unsafe_phase_p999_ns: c.u64()?,
-            }),
             RE_METRICS => {
                 let n = c.u32()? as usize;
                 // An entry costs at least 9 bytes (empty name: 4-byte
@@ -1086,19 +984,7 @@ impl Response {
                 let index = c.u64()?;
                 let bootstrap = c.u8()? != 0;
                 let safe_versions = c.u64()?;
-                let n_safe = c.u32()? as usize;
-                // Each update is at least 9 bytes: reject impossible
-                // counts before allocating.
-                if n_safe > payload.len() / 9 + 1 {
-                    return Err(Error::Protocol(format!(
-                        "feed record safe count {n_safe} exceeds payload"
-                    )));
-                }
-                let mut safe_updates = Vec::with_capacity(n_safe);
-                for _ in 0..n_safe {
-                    let tag = c.u8()?;
-                    safe_updates.push(read_update(tag, &mut c)?);
-                }
+                let safe_updates = read_updates(&mut c)?;
                 let n_groups = c.u32()? as usize;
                 // A group costs at least 4 length bytes.
                 if n_groups > payload.len() / 4 + 1 {
@@ -1108,18 +994,7 @@ impl Response {
                 }
                 let mut unsafe_groups = Vec::with_capacity(n_groups);
                 for _ in 0..n_groups {
-                    let n = c.u32()? as usize;
-                    if n > payload.len() / 9 + 1 {
-                        return Err(Error::Protocol(format!(
-                            "feed group size {n} exceeds payload"
-                        )));
-                    }
-                    let mut group = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        let tag = c.u8()?;
-                        group.push(read_update(tag, &mut c)?);
-                    }
-                    unsafe_groups.push(group);
+                    unsafe_groups.push(read_updates(&mut c)?);
                 }
                 Response::WalEpoch(FeedRecord {
                     index,
@@ -1133,22 +1008,7 @@ impl Response {
                 records: c.u64()?,
                 version: c.u64()?,
             },
-            RE_SNAPSHOT_CHUNK => {
-                let n = c.u32()? as usize;
-                // Each update is at least 9 bytes: reject impossible
-                // counts before allocating.
-                if n > payload.len() / 9 + 1 {
-                    return Err(Error::Protocol(format!(
-                        "snapshot chunk count {n} exceeds payload"
-                    )));
-                }
-                let mut updates = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let tag = c.u8()?;
-                    updates.push(read_update(tag, &mut c)?);
-                }
-                Response::SnapshotChunk(updates)
-            }
+            RE_SNAPSHOT_CHUNK => Response::SnapshotChunk(read_updates(&mut c)?),
             RE_SNAPSHOT_DONE => Response::SnapshotDone {
                 resume_index: c.u64()?,
                 resume_version: c.u64()?,
@@ -1269,7 +1129,6 @@ mod tests {
         });
         roundtrip_request(Request::CurrentVersion);
         roundtrip_request(Request::Release(12));
-        roundtrip_request(Request::Stats);
         roundtrip_request(Request::Metrics);
         roundtrip_request(Request::InSession {
             sid: 3,
@@ -1307,7 +1166,7 @@ mod tests {
     fn nested_session_wrappers_are_rejected() {
         let inner = Request::InSession {
             sid: 2,
-            req: Box::new(Request::Stats),
+            req: Box::new(Request::Metrics),
         };
         let payload = inner.encode_in_session(1, 1); // forge a nested wrapper
         match Request::decode(&payload) {
@@ -1343,28 +1202,6 @@ mod tests {
         roundtrip_response(Response::Modified(vec![]));
         roundtrip_response(Response::Version(1234));
         roundtrip_response(Response::Released);
-        roundtrip_response(Response::Stats(StatsReport {
-            version: 1,
-            epochs: 2,
-            safe_executed: 3,
-            unsafe_executed: 4,
-            demotions: 5,
-            threshold: 6,
-            latency_count: 7,
-            latency_p50_ns: 8,
-            latency_p99_ns: 9,
-            latency_p999_ns: 10,
-            latency_max_ns: 11,
-            followers: 12,
-            replication_records: 13,
-            replication_lag: 14,
-            unsafe_parallel_groups: 15,
-            unsafe_serial_fallbacks: 16,
-            unsafe_phase_count: 17,
-            unsafe_phase_p50_ns: 18,
-            unsafe_phase_p99_ns: 19,
-            unsafe_phase_p999_ns: 20,
-        }));
         roundtrip_response(Response::Metrics(vec![]));
         roundtrip_response(Response::Metrics(vec![
             ("core.epochs".into(), MetricValue::Counter(17)),

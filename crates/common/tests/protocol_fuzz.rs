@@ -9,8 +9,8 @@ use proptest::prelude::*;
 use risgraph_common::ids::{Edge, Update};
 use risgraph_common::metrics::{HistogramSummary, MetricValue};
 use risgraph_common::protocol::{
-    read_frame, write_frame, BusyCause, FeedRecord, Request, Response, StatsReport, WireError,
-    FRAME_HEADER, MAX_FRAME, MAX_RESPONSE_FRAME,
+    read_frame, write_frame, BusyCause, FeedRecord, Request, Response, WireError, FRAME_HEADER,
+    MAX_FRAME, MAX_RESPONSE_FRAME,
 };
 use risgraph_common::Error;
 
@@ -42,7 +42,7 @@ fn sample_request(pick: u64, a: u64, b: u64, c: u64) -> Vec<u8> {
             req: Box::new(Request::Update(Update::InsEdge(Edge::new(a, b, c)))),
         },
         9 => Request::Metrics,
-        _ => Request::Stats,
+        _ => Request::CurrentVersion,
     };
     req.encode(a.wrapping_add(1))
 }
@@ -63,12 +63,10 @@ fn sample_response(pick: u64, a: u64, b: u64, c: u64) -> Vec<u8> {
         2 => Response::Value(a),
         3 => Response::Parent(Some(Edge::new(a, b, c))),
         4 => Response::Modified(vec![a, b, c, a ^ b]),
-        5 => Response::Stats(StatsReport {
-            version: a,
-            latency_p50_ns: b,
-            replication_lag: c,
-            ..StatsReport::default()
-        }),
+        5 => Response::SnapshotChunk(vec![
+            Update::InsVertex(a),
+            Update::DelEdge(Edge::new(b, c, a)),
+        ]),
         6 => Response::WalEpoch(FeedRecord {
             index: a,
             bootstrap: !b.is_multiple_of(2),
@@ -271,7 +269,7 @@ proptest! {
     ) {
         let wrapped = Request::InSession {
             sid: inner,
-            req: Box::new(Request::Stats),
+            req: Box::new(Request::Metrics),
         };
         let forged = wrapped.encode_in_session(3, outer);
         match Request::decode(&forged) {

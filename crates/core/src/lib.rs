@@ -15,6 +15,9 @@
 //!   insert/delete repair plus the safe/unsafe concurrency-control
 //!   classification;
 //! * [`history`] — versioned result snapshots with release-based GC;
+//! * [`versioned`] — the engine plus its histories, version counter and
+//!   read gate: the one result store the leader and a follower both
+//!   answer point-in-time reads from;
 //! * [`wal`] — optional durability via group-committed write-ahead logs;
 //! * [`replication`] — leader→follower shipping of the merged,
 //!   stamp-sorted epoch records: the leader-side feed and the
@@ -50,6 +53,7 @@ pub mod replication;
 pub mod scheduler;
 pub mod server;
 pub mod tree;
+pub mod versioned;
 pub mod wal;
 
 pub use affected::{
@@ -62,3 +66,4 @@ pub use replication::{Replica, ReplicationFeed};
 pub use scheduler::{Scheduler, SchedulerConfig};
 pub use server::{Applied, Op, Reply, Server, ServerConfig, Session};
 pub use tree::{TreeStore, Value, VertexState};
+pub use versioned::Versioned;

@@ -19,9 +19,10 @@
 //!   lags behind the feed, it cannot wedge the epoch loop (its
 //!   connection throttles on its own bounded writer budget in
 //!   `crates/net`).
-//! * [`Replica`] — the follower-side state: an [`Engine`] over any
-//!   backend plus its own [`HistoryStore`]s and version counter,
-//!   applying records through the *existing* replay primitives —
+//! * [`Replica`] — the follower-side state: a [`Versioned`] store
+//!   (engine over any backend, histories, version counter, read gate —
+//!   the same type the leader answers from), applying records through
+//!   the *existing* replay primitives —
 //!   [`Engine::apply_structure`] for the commuting safe phase (which
 //!   provably changed no results on the leader) and
 //!   [`Engine::apply_unsafe`] for each serial version group (which
@@ -40,21 +41,20 @@
 //! two properties that make kill-and-reconnect catch-up safe.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex as StdMutex};
 use std::time::Duration;
 
-use parking_lot::{Mutex, RwLock};
-use risgraph_common::ids::{Update, VersionId, VertexId};
+use risgraph_common::ids::{Edge, Update, VersionId, VertexId};
 use risgraph_common::metrics::{Gauge, Registry};
 use risgraph_common::protocol::FeedRecord;
 use risgraph_common::{Error, Result};
-use risgraph_storage::{AnyStore, BackendKind, StoreConfig};
+use risgraph_storage::{AnyStore, BackendKind};
 
-use crate::engine::{ChangeSet, DynAlgorithm, Engine, EngineConfig};
-use crate::history::HistoryStore;
+use crate::engine::{DynAlgorithm, Engine, EngineConfig};
 use crate::server::merge_changesets;
 use crate::tree::Value;
+use crate::versioned::Versioned;
 
 /// Upper bound on updates per published record: epochs above it are
 /// chunked (at version-group boundaries) so every record encodes far
@@ -360,32 +360,23 @@ impl ReplicationFeed {
     }
 }
 
-/// Follower-side state: the engine, per-algorithm history, and the
-/// version/record watermarks. See the module docs for the apply
+/// Follower-side state: the [`Versioned`] store plus the record and
+/// leader-version watermarks. See the module docs for the apply
 /// contract; wire plumbing (subscribe, reconnect) lives in
 /// `risgraph_net::ReplicaServer`.
 pub struct Replica {
-    engine: Engine<AnyStore>,
-    history: Vec<Mutex<HistoryStore>>,
-    version: AtomicU64,
+    versioned: Versioned,
     applied_records: AtomicU64,
     leader_version: AtomicU64,
-    needs_recompute: AtomicBool,
-    /// Held exclusively while a record is applied, so point-in-time
-    /// queries never observe a half-applied version group — the
-    /// follower twin of the leader's unsafe-phase query gate.
-    gate: RwLock<()>,
-    /// Growth ceiling, mirroring `ServerConfig::max_capacity`: a feed
-    /// record naming a vertex beyond it is corrupt/hostile and is
-    /// rejected instead of driving `ensure_capacity` into an
-    /// allocation the process cannot survive.
-    max_capacity: usize,
 }
 
 impl Replica {
     /// A fresh replica maintaining `algorithms` over `backend`.
     /// `max_capacity` bounds on-demand growth exactly like
-    /// `ServerConfig::max_capacity` does on the leader.
+    /// `ServerConfig::max_capacity` does on the leader: the leader never
+    /// publishes a record beyond it (it rejects the update first), so a
+    /// record or snapshot that needs more is corrupt or hostile and is
+    /// refused instead of growing the engine.
     pub fn new(
         algorithms: Vec<DynAlgorithm>,
         capacity: usize,
@@ -393,47 +384,29 @@ impl Replica {
         engine_config: EngineConfig,
         max_capacity: usize,
     ) -> Result<Self> {
-        let num_algos = algorithms.len();
-        let store = AnyStore::open(
-            backend,
-            capacity,
-            StoreConfig {
-                index_threshold: engine_config.index_threshold,
-                auto_create_vertices: true,
-            },
-        )?;
-        let engine = Engine::from_store(store, algorithms, engine_config);
         Ok(Replica {
-            engine,
-            history: (0..num_algos)
-                .map(|_| Mutex::new(HistoryStore::new(capacity)))
-                .collect(),
-            version: AtomicU64::new(0),
+            versioned: Versioned::open(
+                algorithms,
+                capacity,
+                backend,
+                engine_config,
+                max_capacity,
+                true,
+            )?,
             applied_records: AtomicU64::new(0),
             leader_version: AtomicU64::new(0),
-            needs_recompute: AtomicBool::new(false),
-            gate: RwLock::new(()),
-            max_capacity,
         })
     }
 
-    /// Run the deferred post-bootstrap recomputation if one is
-    /// pending. Bootstrap records (a leader's recovered WAL prefix)
-    /// apply structure only; results are recomputed once — either here
-    /// (first query) or when the first live record arrives — instead
-    /// of once per bootstrap chunk.
-    fn ensure_recomputed(&self) {
-        if self.needs_recompute.load(Ordering::Acquire) {
-            let _gate = self.gate.write();
-            if self.needs_recompute.swap(false, Ordering::AcqRel) {
-                self.engine.recompute_all();
-            }
-        }
+    /// The versioned result store queries read (the read-only listener
+    /// answers wire queries from it).
+    pub fn versioned(&self) -> &Versioned {
+        &self.versioned
     }
 
     /// The underlying engine (fingerprinting, diagnostics).
     pub fn engine(&self) -> &Engine<AnyStore> {
-        &self.engine
+        self.versioned.engine()
     }
 
     /// Bulk-load the same dataset the leader loaded. Bulk loads are not
@@ -441,8 +414,8 @@ impl Replica {
     /// parity is the deployer's contract — exactly as it is for the
     /// leader's own WAL recovery.
     pub fn load_edges(&self, edges: &[(VertexId, VertexId, u64)]) {
-        let _gate = self.gate.write();
-        self.engine.load_edges(edges);
+        let _gate = self.versioned.exclusive();
+        self.engine().load_edges(edges);
     }
 
     /// Feed records applied so far — the index of the next record this
@@ -453,7 +426,7 @@ impl Replica {
 
     /// `get_current_version()` at the applied watermark.
     pub fn current_version(&self) -> VersionId {
-        self.version.load(Ordering::Acquire)
+        self.versioned.current_version()
     }
 
     /// Latest leader result version learned from the stream.
@@ -488,68 +461,48 @@ impl Replica {
                 rec.index
             )));
         }
-        let _gate = self.gate.write();
-        let need = record_capacity(rec);
-        if need as usize > self.engine.capacity() {
-            // The ceiling gates *growth*, not addressing — exactly the
-            // leader's `max_capacity` rule. The leader never publishes
-            // such a record (it rejects the update first), so hitting
-            // this means the stream is corrupt or hostile.
-            if need as usize > self.max_capacity {
-                return Err(Error::Corruption(format!(
-                    "feed record names vertex {} beyond the replica's max_capacity {}",
-                    need - 1,
-                    self.max_capacity
-                )));
-            }
-            self.engine.ensure_capacity(need as usize);
-        }
+        let _gate = self.versioned.exclusive();
+        self.versioned
+            .grow_for(
+                rec.safe_updates
+                    .iter()
+                    .chain(rec.unsafe_groups.iter().flatten()),
+            )
+            .map_err(|e| Error::Corruption(format!("feed record beyond max_capacity: {e}")))?;
         if rec.bootstrap {
             // The leader's own recovery path: structure only, result
             // recomputation deferred to the end of the prefix.
-            for u in rec
-                .safe_updates
-                .iter()
-                .chain(rec.unsafe_groups.iter().flatten())
-            {
-                let _ = self.engine.apply_structure(u);
+            self.versioned.load_structure(&rec.safe_updates);
+            for group in &rec.unsafe_groups {
+                self.versioned.load_structure(group);
             }
-            self.needs_recompute.store(true, Ordering::Release);
+            self.versioned.defer_recompute();
         } else {
-            if self.needs_recompute.swap(false, Ordering::AcqRel) {
-                self.engine.recompute_all();
-            }
+            self.versioned.recompute_deferred();
+            let engine = self.engine();
             for u in &rec.safe_updates {
                 // The leader applied this exact update; failure here
                 // means the replica diverged.
-                self.engine.apply_structure(u).map_err(|e| {
+                engine.apply_structure(u).map_err(|e| {
                     Error::Corruption(format!("replica diverged applying safe {u:?}: {e}"))
                 })?;
             }
-            let mut version = self.version.load(Ordering::Acquire);
-            version += rec.safe_versions;
-            let num_algos = self.engine.num_algorithms();
+            self.versioned.advance(rec.safe_versions);
+            let num_algos = engine.num_algorithms();
             for group in &rec.unsafe_groups {
-                let mut sets: Vec<ChangeSet> = Vec::with_capacity(group.len());
-                for u in group {
-                    sets.push(self.engine.apply_unsafe(u).map_err(|e| {
-                        Error::Corruption(format!("replica diverged applying {u:?}: {e}"))
-                    })?);
-                }
-                version += 1;
-                let merged = merge_changesets(sets, num_algos);
-                if !merged.is_empty() {
-                    for (algo, changes) in merged.per_algo.iter().enumerate() {
-                        if !changes.is_empty() {
-                            self.history[algo].lock().record(version, changes);
-                        }
-                    }
-                }
+                let sets = group
+                    .iter()
+                    .map(|u| {
+                        engine.apply_unsafe(u).map_err(|e| {
+                            Error::Corruption(format!("replica diverged applying {u:?}: {e}"))
+                        })
+                    })
+                    .collect::<Result<Vec<_>>>()?;
+                self.versioned.commit(&merge_changesets(sets, num_algos));
             }
-            self.version.store(version, Ordering::Release);
         }
         self.applied_records.store(rec.index + 1, Ordering::Release);
-        self.note_leader_version(self.version.load(Ordering::Acquire));
+        self.note_leader_version(self.current_version());
         Ok(true)
     }
 
@@ -569,35 +522,18 @@ impl Replica {
         resume_index: u64,
         resume_version: u64,
     ) -> Result<()> {
-        let _gate = self.gate.write();
+        let _gate = self.versioned.exclusive();
         if self.applied_records.load(Ordering::Acquire) != 0 {
             return Err(Error::Protocol(
                 "snapshot bootstrap on a non-fresh replica".into(),
             ));
         }
-        let need = updates
-            .iter()
-            .map(|u| match u {
-                Update::InsEdge(e) | Update::DelEdge(e) => e.src.max(e.dst),
-                Update::InsVertex(v) | Update::DelVertex(v) => *v,
-            })
-            .max()
-            .map_or(0, |v| v.saturating_add(1));
-        if need as usize > self.engine.capacity() {
-            if need as usize > self.max_capacity {
-                return Err(Error::Corruption(format!(
-                    "snapshot names vertex {} beyond the replica's max_capacity {}",
-                    need - 1,
-                    self.max_capacity
-                )));
-            }
-            self.engine.ensure_capacity(need as usize);
-        }
-        for u in updates {
-            let _ = self.engine.apply_structure(u);
-        }
-        self.needs_recompute.store(true, Ordering::Release);
-        self.version.store(resume_version, Ordering::Release);
+        self.versioned
+            .grow_for(updates)
+            .map_err(|e| Error::Corruption(format!("snapshot beyond max_capacity: {e}")))?;
+        self.versioned.load_structure(updates);
+        self.versioned.defer_recompute();
+        self.versioned.restart_at(resume_version);
         self.applied_records.store(resume_index, Ordering::Release);
         self.note_leader_version(resume_version);
         Ok(())
@@ -611,21 +547,20 @@ impl Replica {
     /// floor will ever be streamed again, so the only way forward is
     /// to re-subscribe at offset 0 and take the snapshot bootstrap —
     /// which [`Replica::install_snapshot`] only permits on a fresh
-    /// replica. Edges are removed structure-only (fast path); vertices
-    /// go through the incremental unsafe path so every algorithm's
-    /// result state is reset alongside the structure.
+    /// replica. Edges are removed structure-only (fast path), vertices
+    /// through the unsafe path.
     pub fn reset(&self) -> Result<()> {
-        let _gate = self.gate.write();
-        self.needs_recompute.store(false, Ordering::Release);
+        let _gate = self.versioned.exclusive();
+        let engine = self.engine();
         // Export order is vertices-then-edges; undo in reverse so
         // every vertex is isolated by the time it is deleted.
-        for u in self.engine.export_structure().iter().rev() {
+        for u in engine.export_structure().iter().rev() {
             match u {
                 Update::InsEdge(e) => {
-                    self.engine.apply_structure(&Update::DelEdge(*e))?;
+                    engine.apply_structure(&Update::DelEdge(*e))?;
                 }
                 Update::InsVertex(v) => {
-                    self.engine.apply_unsafe(&Update::DelVertex(*v))?;
+                    engine.apply_unsafe(&Update::DelVertex(*v))?;
                 }
                 other => {
                     return Err(Error::Corruption(format!(
@@ -634,82 +569,47 @@ impl Replica {
                 }
             }
         }
-        let capacity = self.engine.capacity();
-        for h in &self.history {
-            *h.lock() = HistoryStore::new(capacity);
-        }
-        self.version.store(0, Ordering::Release);
+        self.versioned.restart_at(0);
         self.applied_records.store(0, Ordering::Release);
-        Ok(())
-    }
-
-    fn check_version(&self, version: VersionId) -> Result<()> {
-        if version > self.version.load(Ordering::Acquire) {
-            return Err(Error::VersionNotFound(version));
-        }
-        Ok(())
-    }
-
-    fn check_vertex(&self, v: VertexId) -> Result<()> {
-        if v as usize >= self.engine.capacity() {
-            return Err(Error::VertexNotFound(v));
-        }
         Ok(())
     }
 
     /// `get_value(version_id, vertex_id)` at the applied watermark.
     pub fn get_value(&self, algo: usize, version: VersionId, v: VertexId) -> Result<Value> {
-        self.ensure_recomputed();
-        let _gate = self.gate.read();
-        self.check_vertex(v)?;
-        self.check_version(version)?;
-        let current = self.engine.value(algo, v);
-        self.history[algo].lock().value_at(version, v, current)
+        self.versioned.get_value(algo, version, v)
     }
 
     /// `get_parent(version_id, vertex_id)` at the applied watermark.
-    pub fn get_parent(
-        &self,
-        algo: usize,
-        version: VersionId,
-        v: VertexId,
-    ) -> Result<Option<risgraph_common::ids::Edge>> {
-        self.ensure_recomputed();
-        let _gate = self.gate.read();
-        self.check_vertex(v)?;
-        self.check_version(version)?;
-        let current = self.engine.parent(algo, v);
-        self.history[algo].lock().parent_at(version, v, current)
+    pub fn get_parent(&self, algo: usize, version: VersionId, v: VertexId) -> Result<Option<Edge>> {
+        self.versioned.get_parent(algo, version, v)
     }
 
     /// `get_modified_vertices(version_id)` at the applied watermark.
     pub fn get_modified_vertices(&self, algo: usize, version: VersionId) -> Result<Vec<VertexId>> {
-        self.ensure_recomputed();
-        let _gate = self.gate.read();
-        self.check_version(version)?;
-        self.history[algo].lock().modified_vertices(version)
+        self.versioned.get_modified_vertices(algo, version)
     }
-}
-
-/// One-past the highest vertex id a record touches.
-fn record_capacity(rec: &FeedRecord) -> u64 {
-    rec.safe_updates
-        .iter()
-        .chain(rec.unsafe_groups.iter().flatten())
-        .map(|u| match u {
-            Update::InsEdge(e) | Update::DelEdge(e) => e.src.max(e.dst),
-            Update::InsVertex(v) | Update::DelVertex(v) => *v,
-        })
-        .max()
-        .map_or(0, |v| v.saturating_add(1))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use risgraph_algorithms::Bfs;
-    use risgraph_common::ids::Edge;
     use std::sync::Arc;
+
+    /// A fresh single-threaded BFS replica over 16 vertices.
+    fn bfs_replica(max_capacity: usize) -> Replica {
+        Replica::new(
+            vec![Arc::new(Bfs::new(0)) as DynAlgorithm],
+            16,
+            &BackendKind::IaHash,
+            EngineConfig {
+                threads: 1,
+                ..EngineConfig::default()
+            },
+            max_capacity,
+        )
+        .unwrap()
+    }
 
     #[test]
     fn feed_indexes_are_dense_and_waitable() {
@@ -860,17 +760,7 @@ mod tests {
         assert!(r.outcome.is_ok(), "empty txn bumps the version");
         observed.push(r.version);
 
-        let replica = Replica::new(
-            vec![Arc::new(Bfs::new(0)) as DynAlgorithm],
-            32,
-            &BackendKind::IaHash,
-            EngineConfig {
-                threads: 1,
-                ..EngineConfig::default()
-            },
-            1 << 26,
-        )
-        .unwrap();
+        let replica = bfs_replica(1 << 26);
         let feed = leader.feed().expect("feed enabled").clone();
         // Replies land before the epoch-end feed publish: wait until
         // the feed covers every version the sessions observed.
@@ -938,17 +828,7 @@ mod tests {
     /// first query, not only on the first live record.
     #[test]
     fn bootstrap_prefix_recomputes_on_first_query() {
-        let replica = Replica::new(
-            vec![Arc::new(Bfs::new(0)) as DynAlgorithm],
-            16,
-            &BackendKind::IaHash,
-            EngineConfig {
-                threads: 1,
-                ..EngineConfig::default()
-            },
-            1 << 26,
-        )
-        .unwrap();
+        let replica = bfs_replica(1 << 26);
         let rec = FeedRecord {
             index: 0,
             bootstrap: true,
@@ -974,17 +854,7 @@ mod tests {
     /// corruption, not grow the engine into an unsurvivable allocation.
     #[test]
     fn absurd_record_capacity_is_corruption_not_growth() {
-        let replica = Replica::new(
-            vec![Arc::new(Bfs::new(0)) as DynAlgorithm],
-            16,
-            &BackendKind::IaHash,
-            EngineConfig {
-                threads: 1,
-                ..EngineConfig::default()
-            },
-            1 << 20,
-        )
-        .unwrap();
+        let replica = bfs_replica(1 << 20);
         let rec = FeedRecord {
             index: 0,
             bootstrap: false,
@@ -998,5 +868,57 @@ mod tests {
         ));
         assert_eq!(replica.applied_records(), 0, "nothing applied");
         assert!(replica.engine().capacity() <= 1 << 20, "no runaway growth");
+    }
+
+    /// A snapshot naming a vertex past the growth ceiling is corruption,
+    /// refused before anything is applied: the replica stays fresh, so
+    /// a later in-range snapshot installs.
+    #[test]
+    fn snapshot_past_the_ceiling_leaves_the_replica_fresh() {
+        let replica = bfs_replica(1 << 10);
+        let beyond = [
+            Update::InsVertex(3),
+            Update::InsEdge(Edge::new(0, 1 << 20, 0)),
+        ];
+        assert!(matches!(
+            replica.install_snapshot(&beyond, 4, 7),
+            Err(Error::Corruption(_))
+        ));
+        assert_eq!(replica.applied_records(), 0, "still fresh");
+        assert_eq!(replica.current_version(), 0);
+        assert_eq!(replica.engine().num_vertices(), 0, "nothing applied");
+        assert!(replica.engine().capacity() <= 1 << 10, "no runaway growth");
+
+        let snapshot = [
+            Update::InsEdge(Edge::new(0, 1, 0)),
+            Update::InsEdge(Edge::new(1, 2, 0)),
+        ];
+        replica.install_snapshot(&snapshot, 4, 7).unwrap();
+        assert_eq!(replica.applied_records(), 4);
+        assert_eq!(replica.current_version(), 7);
+        assert_eq!(replica.lag(), 0);
+        assert_eq!(replica.get_value(0, 7, 2).unwrap(), 2, "recomputed on read");
+    }
+
+    /// Once a replica has applied a record, a snapshot would double-apply
+    /// under its state: the install is refused and nothing changes.
+    #[test]
+    fn snapshot_on_a_non_fresh_replica_is_refused() {
+        let replica = bfs_replica(1 << 10);
+        let rec = FeedRecord {
+            index: 0,
+            safe_versions: 1,
+            safe_updates: vec![Update::InsVertex(5)],
+            ..FeedRecord::default()
+        };
+        assert!(replica.apply_record(&rec).unwrap());
+        let snapshot = [Update::InsEdge(Edge::new(0, 1, 0))];
+        assert!(matches!(
+            replica.install_snapshot(&snapshot, 9, 9),
+            Err(Error::Protocol(_))
+        ));
+        assert_eq!(replica.applied_records(), 1);
+        assert_eq!(replica.current_version(), 1);
+        assert_eq!(replica.engine().num_edges(), 0, "snapshot not applied");
     }
 }

@@ -71,7 +71,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use risgraph_common::hash::FxHashMap;
 use risgraph_common::ids::{Edge, Update, VersionId, VertexId};
 use risgraph_common::metrics::{
@@ -79,16 +79,16 @@ use risgraph_common::metrics::{
 };
 use risgraph_common::stats::AtomicHistogram;
 use risgraph_common::{Error, Result};
-use risgraph_storage::{AnyStore, BackendKind, DynamicGraph, StoreConfig};
+use risgraph_storage::{AnyStore, BackendKind, DynamicGraph};
 
 use crate::engine::{
     ChangeRecord, ChangeSet, DynAlgorithm, Engine, EngineConfig, SafeApply, Safety,
 };
-use crate::history::HistoryStore;
 use crate::injector::Injector;
 use crate::replication::ReplicationFeed;
 use crate::scheduler::{Scheduler, SchedulerConfig};
 use crate::tree::{Value, VertexState};
+use crate::versioned::Versioned;
 use crate::wal::{read_snapshot, write_snapshot, ResultState, Snapshot, WalWriter};
 
 mod gather;
@@ -132,14 +132,6 @@ pub struct ServerConfig {
     /// bounds resident history to the release lag plus 100 ms of
     /// traffic instead of plus 1 s.
     pub gc_interval: Duration,
-    /// Opt-in periodic history release (§5 fidelity): every interval,
-    /// advance every live session's release floor to the version the
-    /// server had assigned as of the *previous* tick, so snapshots
-    /// older than roughly two intervals become collectable even when
-    /// clients never call `release_history` themselves. Sessions must
-    /// tolerate `VersionNotFound` for versions older than that window.
-    /// `None` (the default) keeps release fully client-driven.
-    pub history_release_interval: Option<Duration>,
     /// Coordinator poll timeout while idle.
     pub idle_poll: Duration,
     /// Minimum interval between WAL fsyncs. Group commit batches all
@@ -233,7 +225,6 @@ impl Default for ServerConfig {
             wal_path: None,
             enable_history: true,
             gc_interval: Duration::from_millis(100),
-            history_release_interval: None,
             idle_poll: Duration::from_micros(200),
             wal_sync_interval: Duration::from_millis(2),
             max_epoch_updates: 1 << 16,
@@ -278,38 +269,6 @@ impl Op {
             Op::Single(u) => std::slice::from_ref(u),
             Op::Txn(us) => us,
         }
-    }
-
-    fn max_vertex(&self) -> u64 {
-        max_vertex_of(self.updates())
-    }
-}
-
-/// One-past the highest vertex id a batch touches (0 when empty) — the
-/// capacity the engine must have before applying it.
-fn max_vertex_of(updates: &[Update]) -> u64 {
-    updates
-        .iter()
-        .map(|u| match u {
-            Update::InsEdge(e) | Update::DelEdge(e) => e.src.max(e.dst),
-            Update::InsVertex(v) | Update::DelVertex(v) => *v,
-        })
-        .max()
-        .map_or(0, |v| v.saturating_add(1))
-}
-
-/// Apply one replayed record (or the snapshot's structure batch) to
-/// the engine: one capacity check per record — an epoch-merged record
-/// can hold tens of thousands of updates — then raw structure
-/// application. Individual errors (e.g. an update that had failed
-/// originally) are skipped.
-fn apply_replayed_batch(engine: &Engine<AnyStore>, batch: &[Update]) {
-    let need = max_vertex_of(batch);
-    if need as usize > engine.capacity() {
-        engine.ensure_capacity(need as usize);
-    }
-    for u in batch {
-        let _ = engine.apply_structure(u);
     }
 }
 
@@ -366,17 +325,18 @@ fn perform_checkpoint(
     // later one — the coordinator is the only publisher), so the
     // exported structure reflects exactly the records below it.
     let (cut_index, cut_version) = match feed {
-        Some(f) => (f.len(), shared.version.load(Ordering::Acquire)),
+        Some(f) => (f.len(), shared.versioned.current_version()),
         None => (0, 0),
     };
-    let upper_bound = shared.engine.capacity() as u64;
+    let engine = shared.versioned.engine();
+    let upper_bound = engine.capacity() as u64;
     let snap = Snapshot {
         start_seg,
         cut_index,
         cut_version,
         upper_bound,
-        updates: shared.engine.export_structure(),
-        results: results_to_snapshot(shared.engine.results_snapshot(upper_bound as usize)),
+        updates: engine.export_structure(),
+        results: results_to_snapshot(engine.results_snapshot(upper_bound as usize)),
     };
     write_snapshot(wal.base(), &snap)?;
     wal.truncate_to(start_seg)?;
@@ -467,8 +427,7 @@ struct Envelope {
 ///
 /// Every field is an [`Arc`] handle into the server's metrics
 /// [`Registry`] (see [`ServerStats::registered`]), so the same cells
-/// back both this struct's named accessors (the byte-compatible
-/// `StatsReport` view on the wire) and the schema-less registry
+/// back both this struct's named accessors and the schema-less registry
 /// snapshot behind the `METRICS` opcode — no double accounting, no
 /// field threading. `Arc<Counter>`/`Arc<Gauge>` deref to the same
 /// `fetch_add`/`load`/`store` surface as the `AtomicU64`s they
@@ -523,7 +482,7 @@ pub struct ServerStats {
     /// (submission → reply sent), across both safety classes — the
     /// paper's headline metric, queryable as P50/P99/P999 via
     /// [`ServerStats::latency_percentiles_ns`], the CLI `stats`
-    /// command, and the wire protocol's STATS opcode.
+    /// command, and the wire protocol's `METRICS` opcode.
     pub update_latency: Arc<AtomicHistogram>,
     /// Histogram of unsafe-update waits (submission → start of serial
     /// execution). Its max is the scheduler's side of the latency
@@ -561,8 +520,7 @@ pub struct ServerStats {
 
 impl ServerStats {
     /// Stats whose every cell is owned by `registry`, under stable
-    /// `core.*` names — the `METRICS` snapshot and the `StatsReport`
-    /// wire view read the same memory.
+    /// `core.*` names — the `METRICS` snapshot reads the same memory.
     fn registered(registry: &Registry) -> Self {
         let stats = ServerStats {
             epochs: registry.counter("core.epochs"),
@@ -631,16 +589,14 @@ impl ServerStats {
 }
 
 struct Shared {
-    engine: Engine<AnyStore>,
-    history: Vec<Mutex<HistoryStore>>,
-    version: AtomicU64,
+    /// The engine, its histories, the version counter and the query
+    /// gate — held exclusively during unsafe execution so point-in-time
+    /// queries never observe a half-applied update.
+    versioned: Versioned,
     /// The submit side: sessions push, the coordinator takes the whole
     /// backlog once per gather pass.
     injector: Injector<Envelope>,
     shutdown: AtomicBool,
-    /// Held exclusively during unsafe execution so point-in-time queries
-    /// never observe a half-applied update.
-    query_gate: RwLock<()>,
     released: Mutex<FxHashMap<u64, VersionId>>,
     next_session: AtomicU64,
     /// Global application-order stamp for WAL linearization: every
@@ -657,7 +613,6 @@ struct Shared {
     /// The epoch-pipeline tracer: per-epoch phase spans in a lock-free
     /// ring, slow epochs flagged and retained separately.
     tracer: Arc<EpochTracer>,
-    enable_history: bool,
     /// Set by [`Server::crash`]: exit without the final WAL flush,
     /// simulating power loss of the buffered log tail.
     hard_crash: AtomicBool,
@@ -666,15 +621,6 @@ struct Shared {
     /// exercisable (real inverses essentially never fail).
     #[cfg(test)]
     fail_rollback: AtomicBool,
-}
-
-impl Shared {
-    fn check_version(&self, version: VersionId) -> Result<()> {
-        if version > self.version.load(Ordering::Acquire) {
-            return Err(Error::VersionNotFound(version));
-        }
-        Ok(())
-    }
 }
 
 /// The RisGraph interactive server.
@@ -697,15 +643,15 @@ impl Server {
         config: ServerConfig,
     ) -> Result<Self> {
         let num_algos = algorithms.len();
-        let store = AnyStore::open(
-            &config.backend,
+        let versioned = Versioned::open(
+            algorithms,
             capacity,
-            StoreConfig {
-                index_threshold: config.engine.index_threshold,
-                auto_create_vertices: true,
-            },
+            &config.backend,
+            config.engine.clone(),
+            config.max_capacity,
+            config.enable_history,
         )?;
-        let engine = Engine::from_store(store, algorithms, config.engine.clone());
+        let engine = versioned.engine();
 
         // The registry precedes every subsystem so each can self-register
         // its cells instead of threading fields through by hand.
@@ -739,7 +685,7 @@ impl Server {
             let mut restored_results = false;
             if let Some(snap) = &recovery.snapshot {
                 recovered_any = true;
-                apply_replayed_batch(&engine, &snap.updates);
+                versioned.load_structure(&snap.updates);
                 if !snap.results.is_empty() && snap.results.len() == num_algos {
                     engine.restore_results(&results_from_snapshot(&snap.results));
                     restored_results = true;
@@ -749,7 +695,7 @@ impl Server {
             let had_tail = !recovery.batches.is_empty();
             recovered_any |= had_tail;
             for batch in &recovery.batches {
-                apply_replayed_batch(&engine, batch);
+                versioned.load_structure(batch);
             }
             if had_tail || (recovered_any && !restored_results) {
                 engine.recompute_all();
@@ -771,21 +717,15 @@ impl Server {
         let wal_path = config.wal_path.clone();
 
         let shared = Arc::new(Shared {
-            engine,
-            history: (0..num_algos)
-                .map(|_| Mutex::new(HistoryStore::new(capacity)))
-                .collect(),
-            version: AtomicU64::new(0),
+            versioned,
             injector: Injector::new(),
             shutdown: AtomicBool::new(false),
-            query_gate: RwLock::new(()),
             released: Mutex::new(FxHashMap::default()),
             next_session: AtomicU64::new(0),
             seq: AtomicU64::new(0),
             stats: ServerStats::registered(&metrics),
             metrics,
             tracer,
-            enable_history: config.enable_history,
             hard_crash: AtomicBool::new(false),
             #[cfg(test)]
             fail_rollback: AtomicBool::new(false),
@@ -854,7 +794,7 @@ impl Server {
     /// included). Not logged to the WAL — load from your dataset on
     /// recovery instead.
     pub fn load_edges(&self, edges: &[(VertexId, VertexId, u64)]) {
-        self.shared.engine.load_edges(edges);
+        self.shared.versioned.engine().load_edges(edges);
     }
 
     /// Open a new session.
@@ -873,7 +813,13 @@ impl Server {
 
     /// Direct engine access (benchmarks, tests).
     pub fn engine(&self) -> &Engine<AnyStore> {
-        &self.shared.engine
+        self.shared.versioned.engine()
+    }
+
+    /// The versioned result store every query reads (the serving tier
+    /// answers wire queries from it).
+    pub fn versioned(&self) -> &Versioned {
+        &self.shared.versioned
     }
 
     /// Server counters.
@@ -924,20 +870,15 @@ impl Server {
 
     /// The latest assigned result version.
     pub fn current_version(&self) -> VersionId {
-        self.shared.version.load(Ordering::Acquire)
+        self.shared.versioned.current_version()
     }
 
     /// Memory-resident history deltas across all algorithms: the undo
-    /// entries a readable version can still need. The quantity
-    /// [`ServerConfig::history_release_interval`] keeps bounded under
-    /// churn; the `core.history.resident_entries` gauge is this number
-    /// as of the last GC tick.
+    /// entries a readable version can still need, which sessions bound
+    /// by releasing versions. The `core.history.resident_entries` gauge
+    /// is this number as of the last GC tick.
     pub fn history_resident_entries(&self) -> usize {
-        self.shared
-            .history
-            .iter()
-            .map(|h| h.lock().chain_entries())
-            .sum()
+        self.shared.versioned.resident_entries()
     }
 
     /// Stop the coordinator and drain.
@@ -1014,7 +955,7 @@ impl Session {
     fn submit(&self, op: Op) -> Reply {
         if let Err(e) = self.submit_op_tagged(op, 0) {
             return Reply {
-                version: self.shared.version.load(Ordering::Acquire),
+                version: self.shared.versioned.current_version(),
                 outcome: Err(e),
             };
         }
@@ -1044,7 +985,7 @@ impl Session {
         match self.reply_rx.recv() {
             Ok((_, r)) => r,
             Err(_) => Reply {
-                version: self.shared.version.load(Ordering::Acquire),
+                version: self.shared.versioned.current_version(),
                 outcome: Err(Error::Shutdown),
             },
         }
@@ -1135,52 +1076,22 @@ impl Session {
 
     /// `get_value(version_id, vertex_id) → value` for algorithm `algo`.
     pub fn get_value(&self, algo: usize, version: VersionId, v: VertexId) -> Result<Value> {
-        let _gate = self.shared.query_gate.read();
-        self.check_vertex(v)?;
-        self.shared.check_version(version)?;
-        let current = self.shared.engine.value(algo, v);
-        if !self.shared.enable_history {
-            return Ok(current);
-        }
-        self.shared.history[algo]
-            .lock()
-            .value_at(version, v, current)
+        self.shared.versioned.get_value(algo, version, v)
     }
 
     /// `get_parent(version_id, vertex_id) → edge`.
     pub fn get_parent(&self, algo: usize, version: VersionId, v: VertexId) -> Result<Option<Edge>> {
-        let _gate = self.shared.query_gate.read();
-        self.check_vertex(v)?;
-        self.shared.check_version(version)?;
-        let current = self.shared.engine.parent(algo, v);
-        if !self.shared.enable_history {
-            return Ok(current);
-        }
-        self.shared.history[algo]
-            .lock()
-            .parent_at(version, v, current)
-    }
-
-    /// Queries address existing state and must never grow it: a vertex
-    /// id beyond the engine's range (e.g. probed over the wire) is
-    /// simply not found — unchecked engine indexing would panic.
-    fn check_vertex(&self, v: VertexId) -> Result<()> {
-        if v as usize >= self.shared.engine.capacity() {
-            return Err(Error::VertexNotFound(v));
-        }
-        Ok(())
+        self.shared.versioned.get_parent(algo, version, v)
     }
 
     /// `get_current_version() → version_id`.
     pub fn get_current_version(&self) -> VersionId {
-        self.shared.version.load(Ordering::Acquire)
+        self.shared.versioned.current_version()
     }
 
     /// `get_modified_vertices(version_id) → vertex_ids`.
     pub fn get_modified_vertices(&self, algo: usize, version: VersionId) -> Result<Vec<VertexId>> {
-        let _gate = self.shared.query_gate.read();
-        self.shared.check_version(version)?;
-        self.shared.history[algo].lock().modified_vertices(version)
+        self.shared.versioned.get_modified_vertices(algo, version)
     }
 
     /// `release_history(version_id)`: snapshots strictly older than
@@ -1297,7 +1208,7 @@ enum ShardOutcome {
 /// effects — those stay with the coordinator.
 struct UnsafeExec {
     env: Envelope,
-    result: Result<(Vec<Update>, ChangeSet)>,
+    result: Result<ChangeSet>,
 }
 
 /// What a shard executor reports for a safe-phase partition.
@@ -1365,7 +1276,7 @@ fn run_shard_job(shared: &Shared, job: ShardJob) -> ShardOutcome {
                 .map(|(idx, updates)| {
                     (
                         idx,
-                        crate::affected::footprint(&shared.engine, &updates, cap),
+                        crate::affected::footprint(shared.versioned.engine(), &updates, cap),
                     )
                 })
                 .collect(),
@@ -1451,7 +1362,7 @@ fn coordinator_loop(
         // Graceful drain also flushes the store itself (msync + chain
         // directory on the mmap backend, block writeback on the
         // others) so a clean shutdown leaves no dirty state behind.
-        let _ = shared.engine.with_store(|s| s.flush());
+        let _ = shared.versioned.engine().with_store(|s| s.flush());
     }
 }
 
@@ -1473,7 +1384,7 @@ fn run_epochs(
             shared.metrics.gauge("wal.segment_lag"),
         )
     });
-    let mut gather = Gather::new(config.max_capacity);
+    let mut gather = Gather::default();
     // The injector's backlog is swapped into this buffer once per pass.
     let mut inbox: Vec<Envelope> = Vec::new();
     let shard_count = config.shards.max(1);
@@ -1488,10 +1399,6 @@ fn run_epochs(
     // Records in the log at the last checkpoint — a time-triggered
     // checkpoint is skipped while nothing new has been appended.
     let mut records_at_checkpoint = wal.as_ref().map_or(0, |w| w.records());
-    let mut last_auto_release = Instant::now();
-    // The auto-release floor trails by one tick: versions assigned in
-    // the current interval stay readable through the next one.
-    let mut auto_release_floor: VersionId = 0;
     shared
         .stats
         .threshold
@@ -1633,29 +1540,10 @@ fn run_epochs(
         let serial_pending = !buf.unsafe_queue.is_empty();
         let t_serial = Instant::now();
         while let Some(env) = buf.unsafe_queue.pop_front() {
-            let wait = env.enqueued.elapsed();
-            shared.stats.unsafe_wait.record(wait);
-            let _gate = shared.query_gate.write();
-            let (reply, applied_updates) = execute_unsafe(shared, &env);
-            drop(_gate);
-            // Serial phase: execution order here *is* stamp order —
-            // every safe-phase stamp precedes it (the shard barrier
-            // ran), so appending the groups after the sorted safe log
-            // reproduces the global application order exactly. Each
-            // successful operation is one version group in the
-            // replication feed (an empty transaction still bumps the
-            // version, so it ships as an empty group).
-            if reply.outcome.is_ok() {
-                unsafe_groups.push(applied_updates);
-            }
-            let lat = env.enqueued.elapsed();
-            scheduler.record_latency(lat);
-            shared
-                .stats
-                .queue_ns
-                .fetch_add(lat.as_nanos() as u64, Ordering::Relaxed);
-            shared.stats.unsafe_executed.fetch_add(1, Ordering::Relaxed);
-            send_reply(shared, &env, reply);
+            shared.stats.unsafe_wait.record(env.enqueued.elapsed());
+            let _gate = shared.versioned.exclusive();
+            let result = apply_unsafe_op(shared, &env, false);
+            finish_unsafe(shared, &env, result, &mut unsafe_groups, &mut scheduler);
         }
         if serial_pending {
             phases[Phase::UnsafeExecute as usize] += t_serial.elapsed().as_nanos() as u64;
@@ -1761,24 +1649,6 @@ fn run_epochs(
             .max_epoch_ns
             .fetch_max(t_epoch.elapsed().as_nanos() as u64, Ordering::Relaxed);
 
-        // Periodic history release (§5: the paper GCs released versions
-        // every second). Opt-in: advance every live session's floor to
-        // the version watermark of the previous tick, so history stays
-        // bounded under churn even when clients never release.
-        if let Some(interval) = config.history_release_interval {
-            if shared.enable_history && last_auto_release.elapsed() >= interval {
-                last_auto_release = Instant::now();
-                let floor = auto_release_floor;
-                auto_release_floor = shared.version.load(Ordering::Acquire);
-                if floor > 0 {
-                    let mut released = shared.released.lock();
-                    for f in released.values_mut() {
-                        *f = (*f).max(floor);
-                    }
-                }
-            }
-        }
-
         let tick = last_gc.elapsed() >= config.gc_interval;
         if tick {
             last_gc = Instant::now();
@@ -1793,19 +1663,13 @@ fn run_epochs(
                 .pending_sessions
                 .store(gather.forget_drained() as u64, Ordering::Relaxed);
         }
-        if shared.enable_history && tick {
+        if config.enable_history && tick {
             let t_hist = Instant::now();
             let watermark = {
                 let released = shared.released.lock();
                 released.values().copied().min().unwrap_or(0)
             };
-            let (mut entries, mut bytes) = (0, 0);
-            for h in &shared.history {
-                let mut h = h.lock();
-                h.collect(watermark);
-                entries += h.chain_entries();
-                bytes += h.memory_bytes();
-            }
+            let (entries, bytes) = shared.versioned.collect(watermark);
             shared
                 .stats
                 .history_resident_entries
@@ -1850,7 +1714,7 @@ fn refuse_latecomers(shared: &Shared, inbox: &mut Vec<Envelope>) {
         let _ = env.reply.send((
             env.tag,
             Reply {
-                version: shared.version.load(Ordering::Acquire),
+                version: shared.versioned.current_version(),
                 outcome: Err(Error::Shutdown),
             },
         ));
@@ -1982,7 +1846,7 @@ fn run_unsafe_parallel(
     for env in envs.iter().flatten() {
         shared.stats.unsafe_wait.record(env.enqueued.elapsed());
     }
-    let gate = shared.query_gate.write();
+    let gate = shared.versioned.exclusive();
     let t_exec = Instant::now();
 
     // Stage 2: longest-group-first greedy assignment over the
@@ -2044,33 +1908,8 @@ fn run_unsafe_parallel(
     // Finalize in arrival order — indistinguishable from the serial
     // phase for every observer (clients, history, WAL, replication).
     execs.sort_unstable_by_key(|e| e.0);
-    for (_, exec) in execs {
-        let UnsafeExec { env, result } = exec;
-        let reply = match result {
-            Ok((applied, merged)) => {
-                let (version, result_changes) = finalize_unsafe(shared, &merged);
-                unsafe_groups.push(applied);
-                Reply {
-                    version,
-                    outcome: Ok(Applied {
-                        safety: Safety::Unsafe,
-                        result_changes,
-                    }),
-                }
-            }
-            Err(e) => Reply {
-                version: shared.version.load(Ordering::Acquire),
-                outcome: Err(e),
-            },
-        };
-        let lat = env.enqueued.elapsed();
-        scheduler.record_latency(lat);
-        shared
-            .stats
-            .queue_ns
-            .fetch_add(lat.as_nanos() as u64, Ordering::Relaxed);
-        shared.stats.unsafe_executed.fetch_add(1, Ordering::Relaxed);
-        send_reply(shared, &env, reply);
+    for (_, UnsafeExec { env, result }) in execs {
+        finish_unsafe(shared, &env, result, unsafe_groups, scheduler);
     }
     phases[Phase::Finalize as usize] += t_finalize.elapsed().as_nanos() as u64;
     drop(gate);
@@ -2109,7 +1948,7 @@ fn execute_safe(shared: &Shared, env: &Envelope, log: &mut Vec<(u64, Update)>) -
     // safe updates change nothing else).
     let start = log.len();
     for u in env.op.updates() {
-        let failure = match shared.engine.try_apply_safe_seq(u, &shared.seq) {
+        let failure = match shared.versioned.engine().try_apply_safe_seq(u, &shared.seq) {
             Ok((SafeApply::Applied, stamp)) => {
                 log.push((stamp.expect("applied updates are stamped"), *u));
                 continue;
@@ -2126,13 +1965,13 @@ fn execute_safe(shared: &Shared, env: &Envelope, log: &mut Vec<(u64, Update)>) -
             shared,
             env,
             Reply {
-                version: shared.version.load(Ordering::Acquire),
+                version: shared.versioned.current_version(),
                 outcome: Err(e),
             },
         );
         return SafeExec::Errored;
     }
-    let version = shared.version.fetch_add(1, Ordering::AcqRel) + 1;
+    let version = shared.versioned.advance(1);
     // Count before replying so a client that has its reply never reads
     // a stats snapshot missing its own update.
     shared.stats.safe_executed.fetch_add(1, Ordering::Relaxed);
@@ -2152,70 +1991,52 @@ fn execute_safe(shared: &Shared, env: &Envelope, log: &mut Vec<(u64, Update)>) -
 
 fn rollback_structure(shared: &Shared, applied: &[(u64, Update)]) {
     for (_, u) in applied.iter().rev() {
-        let _ = shared.engine.apply_structure(&inverse(u));
+        let _ = shared.versioned.engine().apply_structure(&inverse(u));
     }
 }
 
 /// Apply one operation's updates with full recomputation but **no**
 /// version, history, feed or reply side effects — the part of unsafe
 /// execution that parallel workers may run concurrently on disjoint
-/// footprints (`sequential = true` pins pool-free propagation). On a
-/// mid-transaction error the applied prefix is undone with
-/// compensating inverses; a failing inverse leaves the store matching
-/// *no* consistent prefix, so it surfaces as [`Error::Corruption`]
-/// (replacing the original error) instead of being swallowed.
-fn apply_unsafe_op(
-    shared: &Shared,
-    env: &Envelope,
-    sequential: bool,
-) -> Result<(Vec<Update>, ChangeSet)> {
-    let num_algos = shared.engine.num_algorithms();
+/// footprints (`sequential = true` pins pool-free propagation). The
+/// gather stage grew the engine for every admitted operation already.
+/// On a mid-transaction error the applied prefix is rolled back (see
+/// [`rollback_unsafe`]) and the error reported.
+fn apply_unsafe_op(shared: &Shared, env: &Envelope, sequential: bool) -> Result<ChangeSet> {
+    let engine = shared.versioned.engine();
     let updates = env.op.updates();
-    let mut applied: Vec<Update> = Vec::with_capacity(updates.len());
     let mut sets: Vec<ChangeSet> = Vec::with_capacity(updates.len());
     for u in updates {
-        let need = env.op.max_vertex();
-        if need as usize > shared.engine.capacity() {
-            // Unreachable in the epoch loop (gather pre-grows capacity
-            // for every admitted op) but kept for direct callers; the
-            // parallel phase relies on it never firing, and the check
-            // itself is a racy read with no side effect when false.
-            shared.engine.ensure_capacity(need as usize);
-        }
         let outcome = if sequential {
-            shared.engine.apply_unsafe_sequential(u)
+            engine.apply_unsafe_sequential(u)
         } else {
-            shared.engine.apply_unsafe(u)
+            engine.apply_unsafe(u)
         };
         match outcome {
-            Ok(set) => {
-                applied.push(*u);
-                sets.push(set);
-            }
+            Ok(set) => sets.push(set),
             Err(e) => {
-                // Transaction atomicity: undo the applied prefix with
-                // inverse updates (recomputing results back).
-                rollback_unsafe(shared, &applied, sequential)?;
+                rollback_unsafe(shared, &updates[..sets.len()], &sets)?;
                 return Err(e);
             }
         }
     }
-    Ok((applied, merge_changesets(sets, num_algos)))
+    Ok(merge_changesets(sets, engine.num_algorithms()))
 }
 
-/// Undo an applied prefix with inverse updates, newest first. Any
-/// inverse failing is unrecoverable — the store now matches neither
-/// the pre-transaction nor any applied-prefix state — and is reported
-/// as [`Error::Corruption`].
-fn rollback_unsafe(shared: &Shared, applied: &[Update], sequential: bool) -> Result<()> {
+/// Transaction atomicity for the unsafe path: undo the applied prefix's
+/// structure with inverse updates, newest first, then put back every
+/// vertex state its change sets name. The graph is the pre-transaction
+/// graph again, so the pre-transaction tree is valid again — and it is
+/// the tree history saw, so every older version still reads true (a
+/// forward recomputation could settle a parent on another, equally good
+/// edge that no version had). An inverse failing is unrecoverable — the
+/// store now matches neither the pre-transaction nor any applied-prefix
+/// state — and is reported as [`Error::Corruption`].
+fn rollback_unsafe(shared: &Shared, applied: &[Update], sets: &[ChangeSet]) -> Result<()> {
+    let engine = shared.versioned.engine();
     for prev in applied.iter().rev() {
-        let inv = inverse(prev);
         #[allow(unused_mut)]
-        let mut outcome = if sequential {
-            shared.engine.apply_unsafe_sequential(&inv)
-        } else {
-            shared.engine.apply_unsafe(&inv)
-        };
+        let mut outcome = engine.apply_structure(&inverse(prev));
         #[cfg(test)]
         if shared.fail_rollback.load(Ordering::Acquire) {
             outcome = Err(Error::EdgeNotFound(Edge::new(0, 0, 0)));
@@ -2226,53 +2047,55 @@ fn rollback_unsafe(shared: &Shared, applied: &[Update], sequential: bool) -> Res
             )));
         }
     }
+    engine.revert(sets);
     Ok(())
 }
 
-/// The coordinator-only tail of unsafe execution: assign the next
-/// version and record history. Split out so the parallel phase can
-/// replay it in arrival order after the workers' barrier.
-fn finalize_unsafe(shared: &Shared, merged: &ChangeSet) -> (VersionId, usize) {
-    let version = shared.version.fetch_add(1, Ordering::AcqRel) + 1;
-    let result_changes = merged.len();
-    if shared.enable_history && !merged.is_empty() {
-        let t_hist = Instant::now();
-        for (algo, changes) in merged.per_algo.iter().enumerate() {
-            if !changes.is_empty() {
-                shared.history[algo].lock().record(version, changes);
+/// The coordinator-only tail of one unsafe operation, under the
+/// exclusive gate and in arrival order: commit its version group, count
+/// it and reply. Execution order here *is* stamp order — every
+/// safe-phase stamp precedes it (the shard barrier ran), so appending
+/// the groups after the sorted safe log reproduces the global
+/// application order exactly. Each successful operation is one version
+/// group in the replication feed (an empty transaction still bumps the
+/// version, so it ships as an empty group).
+fn finish_unsafe(
+    shared: &Shared,
+    env: &Envelope,
+    result: Result<ChangeSet>,
+    unsafe_groups: &mut Vec<Vec<Update>>,
+    scheduler: &mut Scheduler,
+) {
+    let reply = match result {
+        Ok(merged) => {
+            let t_hist = Instant::now();
+            let version = shared.versioned.commit(&merged);
+            shared
+                .stats
+                .history_ns
+                .fetch_add(t_hist.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            unsafe_groups.push(env.op.updates().to_vec());
+            Reply {
+                version,
+                outcome: Ok(Applied {
+                    safety: Safety::Unsafe,
+                    result_changes: merged.len(),
+                }),
             }
         }
-        shared
-            .stats
-            .history_ns
-            .fetch_add(t_hist.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    }
-    (version, result_changes)
-}
-
-fn execute_unsafe(shared: &Shared, env: &Envelope) -> (Reply, Vec<Update>) {
-    match apply_unsafe_op(shared, env, false) {
-        Ok((applied, merged)) => {
-            let (version, result_changes) = finalize_unsafe(shared, &merged);
-            (
-                Reply {
-                    version,
-                    outcome: Ok(Applied {
-                        safety: Safety::Unsafe,
-                        result_changes,
-                    }),
-                },
-                applied,
-            )
-        }
-        Err(e) => (
-            Reply {
-                version: shared.version.load(Ordering::Acquire),
-                outcome: Err(e),
-            },
-            Vec::new(),
-        ),
-    }
+        Err(e) => Reply {
+            version: shared.versioned.current_version(),
+            outcome: Err(e),
+        },
+    };
+    let lat = env.enqueued.elapsed();
+    scheduler.record_latency(lat);
+    shared
+        .stats
+        .queue_ns
+        .fetch_add(lat.as_nanos() as u64, Ordering::Relaxed);
+    shared.stats.unsafe_executed.fetch_add(1, Ordering::Relaxed);
+    send_reply(shared, env, reply);
 }
 
 #[cfg(test)]
@@ -2603,37 +2426,6 @@ mod tests {
         let (p50, p99, p999) = stats.latency_percentiles_ns();
         assert!(p50 > 0 && p50 <= p99 && p99 <= p999, "{p50} {p99} {p999}");
         assert!(p999 <= stats.update_latency.max_ns());
-        srv.shutdown();
-    }
-
-    #[test]
-    fn periodic_history_release_bounds_resident_deltas() {
-        let mut config = ServerConfig::default();
-        config.engine.threads = 2;
-        config.gc_interval = Duration::from_millis(2);
-        config.history_release_interval = Some(Duration::from_millis(2));
-        let srv: Server = Server::start(vec![StdArc::new(Bfs::new(0))], 16, config).unwrap();
-        srv.load_edges(&[(0, 1, 0)]);
-        let s = srv.session();
-        // Unsafe churn on the same two vertices: every update records a
-        // delta, and the session never calls release_history.
-        let churn = |rounds: usize| {
-            for _ in 0..rounds {
-                let _ = s.ins_edge(Edge::new(1, 2, 0));
-                let _ = s.del_edge(Edge::new(1, 2, 0));
-                std::thread::sleep(Duration::from_micros(200));
-            }
-        };
-        churn(200);
-        let early = srv.history_resident_entries();
-        churn(600);
-        let late = srv.history_resident_entries();
-        // 3x more churn must not grow resident deltas 3x: the periodic
-        // release keeps them at a churn-rate-proportional plateau.
-        assert!(
-            late < early * 2 + 64,
-            "resident deltas kept growing: {early} → {late}"
-        );
         srv.shutdown();
     }
 

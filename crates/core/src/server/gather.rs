@@ -14,7 +14,6 @@ use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 
 use risgraph_common::hash::FxHashMap;
-use risgraph_common::Error;
 
 use super::{send_reply, Envelope, EpochBuf, Op, Reply, Shared};
 use crate::engine::Safety;
@@ -27,6 +26,7 @@ struct SessionQueue {
     blocked_in: u64,
 }
 
+#[derive(Default)]
 pub(super) struct Gather {
     pending: FxHashMap<u64, SessionQueue>,
     /// Sessions to look at in this pass.
@@ -35,20 +35,9 @@ pub(super) struct Gather {
     carry: Vec<u64>,
     /// Epochs begun; 0 (a fresh queue's `blocked_in`) is never current.
     epoch: u64,
-    max_capacity: usize,
 }
 
 impl Gather {
-    pub(super) fn new(max_capacity: usize) -> Self {
-        Gather {
-            pending: FxHashMap::default(),
-            examine: Vec::new(),
-            carry: Vec::new(),
-            epoch: 0,
-            max_capacity,
-        }
-    }
-
     /// Start an epoch: nobody is blocked any more, and its first pass
     /// examines everyone carried over.
     pub(super) fn begin_epoch(&mut self) {
@@ -90,31 +79,25 @@ impl Gather {
                 continue;
             }
             while let Some(front) = session.queue.front() {
-                let need = front.op.max_vertex();
-                // The ceiling gates *growth*, not addressing: ids the
-                // engine already has capacity for (a larger
-                // Server::start capacity, a bulk load) stay valid.
-                if need > self.max_capacity as u64 && need as usize > shared.engine.capacity() {
-                    // Reject instead of growing: a wire client can name
-                    // any vertex id, and unbounded growth is a
-                    // coordinator-killing allocation.
+                // Reject instead of growing past the ceiling: a wire
+                // client can name any vertex id, and unbounded growth is
+                // a coordinator-killing allocation.
+                if let Err(e) = shared.versioned.grow_for(front.op.updates()) {
                     let env = session.queue.pop_front().unwrap();
                     send_reply(
                         shared,
                         &env,
                         Reply {
-                            version: shared.version.load(Ordering::Acquire),
-                            outcome: Err(Error::VertexNotFound(need.saturating_sub(1))),
+                            version: shared.versioned.current_version(),
+                            outcome: Err(e),
                         },
                     );
                     continue;
                 }
-                if need as usize > shared.engine.capacity() {
-                    shared.engine.ensure_capacity(need as usize);
-                }
+                let engine = shared.versioned.engine();
                 let safety = match &front.op {
-                    Op::Single(u) => shared.engine.classify(u),
-                    Op::Txn(us) => shared.engine.classify_txn(us),
+                    Op::Single(u) => engine.classify(u),
+                    Op::Txn(us) => engine.classify_txn(us),
                 };
                 let env = session.queue.pop_front().unwrap();
                 match safety {
@@ -230,7 +213,7 @@ mod tests {
     fn blocked_sessions_are_carried_into_the_next_epoch() {
         let server = chain_server();
         let shared = &*server.shared;
-        let mut gather = Gather::new(1 << 20);
+        let mut gather = Gather::default();
         let mut buf = EpochBuf {
             safe_parts: vec![Vec::new(), Vec::new()],
             safe_count: 0,
@@ -283,7 +266,7 @@ mod tests {
     #[test]
     fn requeued_leftovers_keep_their_order_and_are_carried() {
         let server = chain_server();
-        let mut gather = Gather::new(1 << 20);
+        let mut gather = Gather::default();
         let mut buf = EpochBuf {
             safe_parts: vec![Vec::new()],
             safe_count: 0,
@@ -316,7 +299,7 @@ mod tests {
     #[test]
     fn requeue_holds_back_the_stopped_sessions_unsafe_update() {
         let server = chain_server();
-        let mut gather = Gather::new(1 << 20);
+        let mut gather = Gather::default();
         let mut buf = EpochBuf {
             safe_parts: vec![Vec::new()],
             safe_count: 0,

@@ -86,12 +86,20 @@ impl VertexState {
         (self.parent_src != NO_PARENT).then(|| Edge::new(self.parent_src, v, self.parent_data))
     }
 
-    fn rootless(value: Value) -> Self {
+    /// The state holding `value` with parent edge `parent` (whose
+    /// destination is the vertex itself) — the inverse of
+    /// [`Self::parent_edge`].
+    pub(crate) fn with_parent(value: Value, parent: Option<Edge>) -> Self {
+        let (parent_src, parent_data) = parent.map_or((NO_PARENT, 0), |e| (e.src, e.data));
         VertexState {
             value,
-            parent_src: NO_PARENT,
-            parent_data: 0,
+            parent_src,
+            parent_data,
         }
+    }
+
+    fn rootless(value: Value) -> Self {
+        Self::with_parent(value, None)
     }
 }
 

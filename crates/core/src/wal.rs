@@ -16,7 +16,12 @@
 //! deleted and the manifest's first segment advances.
 //!
 //! Record layout within a segment: `[len: u32 LE][crc32: u32 LE]
-//! [payload]`, where the payload encodes one update batch. The server
+//! [payload]`, where the payload encodes one update batch as
+//! `[count: u32 LE]` plus the updates in the wire protocol's encoding
+//! ([`risgraph_common::protocol::put_update`]: an opcode byte `1`–`4`,
+//! then little-endian `u64` fields) — the body of a transaction
+//! request, byte for byte. Snapshot structure sections use the same
+//! form. The server
 //! writes **one merged record per epoch** — every shard's safe-phase
 //! log plus the serial unsafe updates, sorted by a global
 //! application-order stamp drawn inside the store's per-edge
@@ -49,16 +54,9 @@ use std::path::{Path, PathBuf};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use risgraph_common::crc::crc32;
-use risgraph_common::ids::{Edge, Update};
+use risgraph_common::ids::Update;
+use risgraph_common::protocol::{decode_updates, put_update as encode_update};
 use risgraph_common::{Error, Result};
-
-const TAG_INS_EDGE: u8 = 1;
-const TAG_DEL_EDGE: u8 = 2;
-const TAG_INS_VERTEX: u8 = 3;
-const TAG_DEL_VERTEX: u8 = 4;
-
-/// The smallest encoded update (a vertex op: tag + id).
-const MIN_UPDATE_BYTES: usize = 9;
 
 /// Per-record update cap: epochs larger than this are split across
 /// records so the `u32` header fields can never wrap (25 bytes/update
@@ -80,81 +78,11 @@ const SNAP_END: u8 = 4;
 /// snapshot file.
 const SNAP_CHUNK: usize = 1 << 16;
 
-fn encode_update(buf: &mut BytesMut, u: &Update) {
-    match u {
-        Update::InsEdge(e) => {
-            buf.put_u8(TAG_INS_EDGE);
-            buf.put_u64_le(e.src);
-            buf.put_u64_le(e.dst);
-            buf.put_u64_le(e.data);
-        }
-        Update::DelEdge(e) => {
-            buf.put_u8(TAG_DEL_EDGE);
-            buf.put_u64_le(e.src);
-            buf.put_u64_le(e.dst);
-            buf.put_u64_le(e.data);
-        }
-        Update::InsVertex(v) => {
-            buf.put_u8(TAG_INS_VERTEX);
-            buf.put_u64_le(*v);
-        }
-        Update::DelVertex(v) => {
-            buf.put_u8(TAG_DEL_VERTEX);
-            buf.put_u64_le(*v);
-        }
-    }
-}
-
-fn decode_update(buf: &mut Bytes) -> Result<Update> {
-    if buf.remaining() < 1 {
-        return Err(Error::Wal("truncated update tag".into()));
-    }
-    let tag = buf.get_u8();
-    let need = match tag {
-        TAG_INS_EDGE | TAG_DEL_EDGE => 24,
-        TAG_INS_VERTEX | TAG_DEL_VERTEX => 8,
-        other => return Err(Error::Wal(format!("unknown update tag {other}"))),
-    };
-    if buf.remaining() < need {
-        return Err(Error::Wal("truncated update body".into()));
-    }
-    Ok(match tag {
-        TAG_INS_EDGE => Update::InsEdge(Edge::new(
-            buf.get_u64_le(),
-            buf.get_u64_le(),
-            buf.get_u64_le(),
-        )),
-        TAG_DEL_EDGE => Update::DelEdge(Edge::new(
-            buf.get_u64_le(),
-            buf.get_u64_le(),
-            buf.get_u64_le(),
-        )),
-        TAG_INS_VERTEX => Update::InsVertex(buf.get_u64_le()),
-        _ => Update::DelVertex(buf.get_u64_le()),
-    })
-}
-
 /// Decode one CRC-validated record payload (`[count u32][updates…]`)
-/// into an update batch, with the preallocation capped by what the
-/// payload could physically hold — a forged count field must fail,
-/// not allocate.
+/// into an update batch; a forged count field fails before anything is
+/// allocated.
 fn decode_batch(payload: &[u8]) -> Result<Vec<Update>> {
-    let mut buf = Bytes::copy_from_slice(payload);
-    if buf.remaining() < 4 {
-        return Err(Error::Wal("record too short".into()));
-    }
-    let count = buf.get_u32_le() as usize;
-    if count > buf.remaining() / MIN_UPDATE_BYTES {
-        return Err(Error::Wal(format!(
-            "record claims {count} updates but only {} payload bytes remain",
-            buf.remaining()
-        )));
-    }
-    let mut batch = Vec::with_capacity(count);
-    for _ in 0..count {
-        batch.push(decode_update(&mut buf)?);
-    }
-    Ok(batch)
+    decode_updates(payload).map_err(|e| Error::Wal(format!("bad record: {e}")))
 }
 
 /// `<base><suffix>` as a sibling path (keeps the base's extension).
@@ -845,6 +773,8 @@ fn replay_segment_file(path: &Path) -> Result<Vec<Vec<Update>>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use risgraph_common::ids::Edge;
+    use risgraph_common::protocol::Request;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("risgraph-wal-tests");
@@ -879,6 +809,48 @@ mod tests {
             assert_eq!(w.records(), 3);
         }
         assert_eq!(replay(&path).unwrap(), batches);
+        cleanup(&path);
+    }
+
+    /// The log shares the wire protocol's update codec without changing
+    /// a byte on disk: a record's payload is the same hand-laid bytes
+    /// the pre-sharing encoder wrote, and it is the update list of a
+    /// transaction request carrying the same updates.
+    #[test]
+    fn record_payload_is_the_protocol_encoding() {
+        let path = tmp("codec");
+        let updates = vec![
+            Update::InsEdge(Edge::new(1, 2, 3)),
+            Update::DelEdge(Edge::new(4, 5, u64::MAX)),
+            Update::InsVertex(7),
+            Update::DelVertex(1 << 40),
+        ];
+        {
+            let mut w = WalWriter::open(&path).unwrap();
+            w.append(&updates).unwrap();
+            w.sync().unwrap();
+        }
+        let segment = std::fs::read(segment_path(&path, 0)).unwrap();
+        let payload = &segment[8..];
+        assert_eq!(segment[..4], (payload.len() as u32).to_le_bytes());
+        assert_eq!(segment[4..8], crc32(payload).to_le_bytes());
+
+        let mut laid = 4u32.to_le_bytes().to_vec();
+        for (tag, words) in [
+            (1u8, vec![1u64, 2, 3]),
+            (2, vec![4, 5, u64::MAX]),
+            (3, vec![7]),
+            (4, vec![1 << 40]),
+        ] {
+            laid.push(tag);
+            for w in words {
+                laid.extend_from_slice(&w.to_le_bytes());
+            }
+        }
+        assert_eq!(payload, &laid[..]);
+        // A request payload is `[req id: u64][opcode: u8][body]`.
+        assert_eq!(payload, &Request::Txn(updates.clone()).encode(0)[9..]);
+        assert_eq!(replay(&path).unwrap(), vec![updates]);
         cleanup(&path);
     }
 

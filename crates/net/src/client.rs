@@ -24,8 +24,7 @@ use risgraph_common::hash::FxHashMap;
 use risgraph_common::ids::{Edge, Update, VersionId, VertexId};
 use risgraph_common::metrics::MetricValue;
 use risgraph_common::protocol::{
-    read_frame, write_frame, Request, Response, StatsReport, MAX_FRAME, MAX_RESPONSE_FRAME,
-    PROTOCOL_VERSION,
+    read_frame, write_frame, Request, Response, MAX_FRAME, MAX_RESPONSE_FRAME, PROTOCOL_VERSION,
 };
 use risgraph_common::{Error, Result};
 
@@ -402,18 +401,6 @@ impl NetClient {
             Response::Busy { cause, message } => Err(busy_err(cause, &message)),
             other => Err(Error::Protocol(format!(
                 "release reply has wrong shape: {other:?}"
-            ))),
-        }
-    }
-
-    /// Server counters and completion-latency percentiles.
-    pub fn stats(&self) -> Result<StatsReport> {
-        match self.call(&Request::Stats)? {
-            Response::Stats(s) => Ok(s),
-            Response::Failed { error, .. } => Err(error.to_error()),
-            Response::Busy { cause, message } => Err(busy_err(cause, &message)),
-            other => Err(Error::Protocol(format!(
-                "stats reply has wrong shape: {other:?}"
             ))),
         }
     }

@@ -92,14 +92,16 @@
 //! [`ReplicaServer`] is the follower-side counterpart: it applies the
 //! stream onto any backend through the core replay path,
 //! reconnects-and-resubscribes across stream faults, and optionally
-//! serves the read-only Table 1 surface (plus lag-reporting `STATS`)
-//! at its applied watermark. `tests/replication_differential.rs`
+//! serves the read-only Table 1 surface (plus its `METRICS`, lag
+//! included) at its applied watermark — answered by the same
+//! `query` function over the same versioned store type as the leader's. `tests/replication_differential.rs`
 //! proves leader ≡ follower on IA_Hash and ooc-mmap at shards 1 and 4,
 //! under injected frame faults.
 
 #![warn(missing_docs)]
 
 pub mod client;
+mod query;
 pub mod reactor;
 pub mod replica;
 pub mod server;

@@ -21,8 +21,9 @@
 //! Optionally the replica itself listens ([`FollowerConfig::listen`])
 //! and serves the **read-only** Table 1 surface over the same wire
 //! protocol — `get_value` / `get_parent` / `get_modified_vertices` /
-//! `get_current_version`, answered at the applied watermark, plus
-//! `STATS` reporting replication lag; mutating requests are refused.
+//! `get_current_version`, answered at the applied watermark by the
+//! leader's own query function, plus `METRICS` reporting replication
+//! lag; mutating requests are refused.
 //! The replica speaks protocol v1 only: a `Hello` is answered with
 //! version 1 (the negotiation's downgrade path), and session-wrapped
 //! requests are refused without closing the connection.
@@ -37,13 +38,14 @@ use std::time::Duration;
 use risgraph_common::ids::Update;
 use risgraph_common::metrics::{Counter, Registry};
 use risgraph_common::protocol::{
-    read_frame, write_frame, Request, Response, StatsReport, WireError, MAX_FRAME,
-    MAX_RESPONSE_FRAME,
+    read_frame, write_frame, Request, Response, MAX_FRAME, MAX_RESPONSE_FRAME,
 };
 use risgraph_common::{Error, Result};
 use risgraph_core::engine::DynAlgorithm;
 use risgraph_core::replication::Replica;
 use risgraph_core::server::ServerConfig;
+
+use crate::query::{answer_query, failed};
 
 /// Follower-side tuning.
 #[derive(Debug, Clone)]
@@ -79,8 +81,8 @@ impl FollowerConfig {
 
 /// Follower counters, updated by the streaming thread. Every field is
 /// a handle into the replica's metrics [`Registry`] (under
-/// `replica.*` names), so the same cells answer both the legacy
-/// `STATS` view and the schema-less `METRICS` snapshot.
+/// `replica.*` names), so the same cells answer the `METRICS`
+/// snapshot.
 #[derive(Debug, Default)]
 pub struct FollowerStats {
     /// Feed records applied.
@@ -195,7 +197,6 @@ impl ReplicaServer {
                 .set_nonblocking(true)
                 .map_err(|e| Error::Protocol(format!("nonblocking listener: {e}")))?;
             let accept_replica = Arc::clone(&replica);
-            let accept_stats = Arc::clone(&stats);
             let accept_metrics = Arc::clone(&metrics);
             let accept_stop = Arc::clone(&stop);
             let accept_conns = Arc::clone(&conns);
@@ -206,7 +207,6 @@ impl ReplicaServer {
                         accept_loop(
                             listener,
                             accept_replica,
-                            accept_stats,
                             accept_metrics,
                             accept_stop,
                             accept_conns,
@@ -489,18 +489,6 @@ fn follower_loop(
     }
 }
 
-/// The replica's `STATS` answer: its version watermark plus the
-/// replication gauges (the latency/epoch fields are leader-side and
-/// read 0 here).
-fn replica_stats(replica: &Replica, stats: &FollowerStats) -> StatsReport {
-    StatsReport {
-        version: replica.current_version(),
-        replication_records: stats.records_applied.load(Ordering::Relaxed),
-        replication_lag: replica.lag(),
-        ..StatsReport::default()
-    }
-}
-
 /// Join-and-drop every finished connection thread in the registry.
 fn prune_finished(conns: &mut Vec<(JoinHandle<()>, TcpStream)>) {
     let mut i = 0;
@@ -518,7 +506,6 @@ fn prune_finished(conns: &mut Vec<(JoinHandle<()>, TcpStream)>) {
 fn accept_loop(
     listener: TcpListener,
     replica: Arc<Replica>,
-    stats: Arc<FollowerStats>,
     metrics: Arc<Registry>,
     stop: Arc<AtomicBool>,
     conns: ConnRegistry,
@@ -547,11 +534,10 @@ fn accept_loop(
             continue;
         };
         let conn_replica = Arc::clone(&replica);
-        let conn_stats = Arc::clone(&stats);
         let conn_metrics = Arc::clone(&metrics);
         let handle = std::thread::Builder::new()
             .name("risgraph-replica-conn".into())
-            .spawn(move || serve_queries(conn_replica, conn_stats, conn_metrics, stream))
+            .spawn(move || serve_queries(conn_replica, conn_metrics, stream))
             .expect("spawn replica connection thread");
         let mut conns = conns.lock().unwrap();
         prune_finished(&mut conns);
@@ -562,12 +548,7 @@ fn accept_loop(
 /// Serve the read-only Table 1 surface on one connection: queries are
 /// answered inline at the applied watermark; anything mutating is
 /// refused without touching the replica.
-fn serve_queries(
-    replica: Arc<Replica>,
-    stats: Arc<FollowerStats>,
-    metrics: Arc<Registry>,
-    stream: TcpStream,
-) {
+fn serve_queries(replica: Arc<Replica>, metrics: Arc<Registry>, stream: TcpStream) {
     let write_half = match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
@@ -575,60 +556,25 @@ fn serve_queries(
     let _ = write_half.set_write_timeout(Some(Duration::from_secs(10)));
     let mut w = BufWriter::new(write_half);
     let mut r = BufReader::new(stream);
-    let check_algo = |algo: u32| -> std::result::Result<usize, Error> {
-        if algo as usize >= replica.engine().num_algorithms() {
-            return Err(Error::Protocol(format!(
-                "algorithm index {algo} out of range ({} maintained)",
-                replica.engine().num_algorithms()
-            )));
-        }
-        Ok(algo as usize)
-    };
-    let failed = |e: &Error| Response::Failed {
-        version: replica.current_version(),
-        error: WireError::from_error(e),
-    };
+    let versioned = replica.versioned();
     loop {
         let payload = match read_frame(&mut r, MAX_FRAME) {
             Ok(Some(p)) => p,
             Ok(None) => break,
             Err(e) => {
-                let _ = write_frame(&mut w, &failed(&e).encode(0));
+                let _ = write_frame(&mut w, &failed(versioned, &e).encode(0));
                 break;
             }
         };
         let (req_id, request) = match Request::decode(&payload) {
             Ok(x) => x,
             Err(e) => {
-                let _ = write_frame(&mut w, &failed(&e).encode(0));
+                let _ = write_frame(&mut w, &failed(versioned, &e).encode(0));
                 break;
             }
         };
-        let resp = match request {
-            Request::GetValue {
-                algo,
-                version,
-                vertex,
-            } => match check_algo(algo).and_then(|a| replica.get_value(a, version, vertex)) {
-                Ok(v) => Response::Value(v),
-                Err(e) => failed(&e),
-            },
-            Request::GetParent {
-                algo,
-                version,
-                vertex,
-            } => match check_algo(algo).and_then(|a| replica.get_parent(a, version, vertex)) {
-                Ok(p) => Response::Parent(p),
-                Err(e) => failed(&e),
-            },
-            Request::GetModified { algo, version } => {
-                match check_algo(algo).and_then(|a| replica.get_modified_vertices(a, version)) {
-                    Ok(vs) => Response::Modified(vs),
-                    Err(e) => failed(&e),
-                }
-            }
-            Request::CurrentVersion => Response::Version(replica.current_version()),
-            Request::Stats => Response::Stats(replica_stats(&replica, &stats)),
+        let refuse = |e: Error| failed(versioned, &e).encode(req_id);
+        let payload = match request {
             // The registry snapshot, with the watermark gauges
             // refreshed at read time (they have no update hook — the
             // watermarks move on every applied record).
@@ -639,15 +585,15 @@ fn serve_queries(
                 metrics
                     .gauge("replica.version")
                     .store(replica.current_version(), Ordering::Relaxed);
-                Response::Metrics(metrics.snapshot())
+                Response::Metrics(metrics.snapshot()).encode(req_id)
             }
             // Replicas speak protocol v1: answer any Hello with
             // version 1, exercising the negotiation's downgrade path
             // (a v2 client falls back to unwrapped frames).
-            Request::Hello { .. } => Response::Hello { version: 1 },
+            Request::Hello { .. } => Response::Hello { version: 1 }.encode(req_id),
             // Session wrappers need v2; refuse them without closing —
             // the client can retry unwrapped on the same connection.
-            Request::InSession { .. } => failed(&Error::Protocol(
+            Request::InSession { .. } => refuse(Error::Protocol(
                 "read-only replica speaks protocol v1: no session multiplexing".into(),
             )),
             // Everything mutating — and nested subscriptions — is
@@ -656,19 +602,11 @@ fn serve_queries(
             Request::Update(_)
             | Request::Txn(_)
             | Request::Release(_)
-            | Request::Subscribe { .. } => failed(&Error::Protocol(
+            | Request::Subscribe { .. } => refuse(Error::Protocol(
                 "read-only replica: updates must go to the leader".into(),
             )),
+            query => answer_query(versioned, req_id, &query),
         };
-        let mut payload = resp.encode(req_id);
-        if payload.len() > MAX_RESPONSE_FRAME {
-            let e = Error::Protocol(format!(
-                "modification set encodes to {} bytes, over the \
-                 {MAX_RESPONSE_FRAME}-byte response limit",
-                payload.len()
-            ));
-            payload = failed(&e).encode(req_id);
-        }
         if write_frame(&mut w, &payload).is_err() || w.flush().is_err() {
             break;
         }

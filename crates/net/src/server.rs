@@ -34,14 +34,15 @@ use risgraph_common::hash::FxHashMap;
 use risgraph_common::ids::Update;
 use risgraph_common::metrics::{Counter, Gauge, Phase, Registry};
 use risgraph_common::protocol::{
-    encode_wal_epoch, write_frame, BusyCause, Request, Response, StatsReport, WireError,
-    FRAME_HEADER, MAX_FRAME, MAX_RESPONSE_FRAME, PROTOCOL_VERSION,
+    encode_wal_epoch, write_frame, BusyCause, Request, Response, WireError, FRAME_HEADER,
+    MAX_FRAME, MAX_RESPONSE_FRAME, PROTOCOL_VERSION,
 };
 use risgraph_common::{Error, Result};
 use risgraph_core::engine::{DynAlgorithm, Safety};
 use risgraph_core::server::{Op, Server, ServerConfig, Session as CoreSession};
 use risgraph_core::ReplicationFeed;
 
+use crate::query::{answer_query, failed};
 use crate::reactor::{Event, Interest, Poller, Wakeup};
 
 fn env_usize(key: &str) -> Option<usize> {
@@ -467,58 +468,6 @@ fn reply_to_response(reply: risgraph_core::server::Reply) -> Response {
     }
 }
 
-fn stats_report(server: &Server) -> StatsReport {
-    let s = server.stats();
-    // One snapshot for every latency field, so the report is internally
-    // consistent (p50 ≤ p999, count matches) under concurrent recording.
-    let lat = s.update_latency.snapshot();
-    let phase = s.unsafe_phase.snapshot();
-    StatsReport {
-        version: server.current_version(),
-        epochs: s.epochs.load(Ordering::Relaxed),
-        safe_executed: s.safe_executed.load(Ordering::Relaxed),
-        unsafe_executed: s.unsafe_executed.load(Ordering::Relaxed),
-        demotions: s.demotions.load(Ordering::Relaxed),
-        threshold: s.threshold.load(Ordering::Relaxed),
-        latency_count: lat.count(),
-        latency_p50_ns: lat.quantile_ns(0.5),
-        latency_p99_ns: lat.quantile_ns(0.99),
-        latency_p999_ns: lat.quantile_ns(0.999),
-        latency_max_ns: if lat.count() == 0 { 0 } else { lat.max_ns() },
-        followers: server.feed().map_or(0, |f| f.followers() as u64),
-        replication_records: server.feed().map_or(0, |f| f.len()),
-        replication_lag: 0, // a leader is its own watermark
-        unsafe_parallel_groups: s.unsafe_parallel_groups.load(Ordering::Relaxed),
-        unsafe_serial_fallbacks: s.unsafe_serial_fallbacks.load(Ordering::Relaxed),
-        unsafe_phase_count: phase.count(),
-        unsafe_phase_p50_ns: phase.quantile_ns(0.5),
-        unsafe_phase_p99_ns: phase.quantile_ns(0.99),
-        unsafe_phase_p999_ns: phase.quantile_ns(0.999),
-    }
-}
-
-/// Validate a wire-supplied algorithm index before it reaches
-/// unchecked `history[algo]`/engine indexing. (Vertex bounds are
-/// enforced by [`CoreSession`] itself, and update-path capacity growth
-/// by `ServerConfig::max_capacity`.)
-fn check_algo(server: &Server, algo: u32) -> std::result::Result<(), Error> {
-    if algo as usize >= server.engine().num_algorithms() {
-        return Err(Error::Protocol(format!(
-            "algorithm index {algo} out of range ({} maintained)",
-            server.engine().num_algorithms()
-        )));
-    }
-    Ok(())
-}
-
-/// A [`Response::Failed`] for `e` at the server's current version.
-fn failed(server: &Server, e: &Error) -> Response {
-    Response::Failed {
-        version: server.current_version(),
-        error: WireError::from_error(e),
-    }
-}
-
 /// Everything a connection needs from its worker, owned by the worker
 /// so connection methods and `conns` map access borrow disjoint fields.
 struct Ctx {
@@ -669,7 +618,7 @@ impl Conn {
     }
 
     fn enqueue_failed(&mut self, server: &Server, req_id: u64, e: &Error) {
-        self.enqueue(failed(server, e).encode(req_id));
+        self.enqueue(failed(server.versioned(), e).encode(req_id));
     }
 
     /// Stop consuming the byte stream but keep the connection up for
@@ -1048,62 +997,17 @@ impl Conn {
             // Queries: answered inline (they read a versioned snapshot,
             // so they need not wait behind in-flight updates — that is
             // the out-of-order completion the request ids exist for).
-            Request::GetValue {
-                algo,
-                version,
-                vertex,
-            } => {
-                let resp = match self.session_core(ctx, sid).and_then(|core| {
-                    check_algo(&ctx.server, algo)
-                        .and_then(|()| core.get_value(algo as usize, version, vertex))
-                }) {
-                    Ok(v) => Response::Value(v),
-                    Err(e) => failed(&ctx.server, &e),
-                };
-                self.enqueue(resp.encode(req_id));
-                true
-            }
-            Request::GetParent {
-                algo,
-                version,
-                vertex,
-            } => {
-                let resp = match self.session_core(ctx, sid).and_then(|core| {
-                    check_algo(&ctx.server, algo)
-                        .and_then(|()| core.get_parent(algo as usize, version, vertex))
-                }) {
-                    Ok(p) => Response::Parent(p),
-                    Err(e) => failed(&ctx.server, &e),
-                };
-                self.enqueue(resp.encode(req_id));
-                true
-            }
-            Request::GetModified { algo, version } => {
-                let resp = match self.session_core(ctx, sid).and_then(|core| {
-                    check_algo(&ctx.server, algo)
-                        .and_then(|()| core.get_modified_vertices(algo as usize, version))
-                }) {
-                    Ok(vs) => Response::Modified(vs),
-                    Err(e) => failed(&ctx.server, &e),
-                };
-                // The one response whose size scales with the affected
-                // area: refuse to emit a frame the client would reject
-                // as oversized — failing this request alone beats
-                // tearing down every pipelined request on the session.
-                let mut payload = resp.encode(req_id);
-                if payload.len() > MAX_RESPONSE_FRAME {
-                    let e = Error::Protocol(format!(
-                        "modification set encodes to {} bytes, over the \
-                         {MAX_RESPONSE_FRAME}-byte response limit",
-                        payload.len()
-                    ));
-                    payload = failed(&ctx.server, &e).encode(req_id);
+            // A versioned read opens its session first: the session's
+            // release floor is what pins the versions it reads.
+            Request::GetValue { .. } | Request::GetParent { .. } | Request::GetModified { .. } => {
+                match self.session_core(ctx, sid) {
+                    Ok(_) => self.enqueue(answer_query(ctx.server.versioned(), req_id, &request)),
+                    Err(e) => self.enqueue_failed(&ctx.server, req_id, &e),
                 }
-                self.enqueue(payload);
                 true
             }
             Request::CurrentVersion => {
-                self.enqueue(Response::Version(ctx.server.current_version()).encode(req_id));
+                self.enqueue(answer_query(ctx.server.versioned(), req_id, &request));
                 true
             }
             Request::Release(version) => {
@@ -1114,10 +1018,6 @@ impl Conn {
                     }
                     Err(e) => self.enqueue_failed(&ctx.server, req_id, &e),
                 }
-                true
-            }
-            Request::Stats => {
-                self.enqueue(Response::Stats(stats_report(&ctx.server)).encode(req_id));
                 true
             }
             // The schema-less registry snapshot: every named counter,
@@ -1616,7 +1516,7 @@ impl Worker {
                 .shed_overload
                 .fetch_add(1, Ordering::Relaxed);
             let notice = failed(
-                &self.ctx.server,
+                self.ctx.server.versioned(),
                 &Error::Busy("serving tier over its high-water mark; retry after backoff".into()),
             )
             .encode(0);

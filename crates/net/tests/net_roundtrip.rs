@@ -10,6 +10,7 @@ use std::time::Duration;
 
 use risgraph_algorithms::Bfs;
 use risgraph_common::ids::{Edge, Update};
+use risgraph_common::metrics::MetricValue;
 use risgraph_common::protocol::{write_frame, Request};
 use risgraph_core::engine::DynAlgorithm;
 use risgraph_core::server::ServerConfig;
@@ -84,13 +85,20 @@ fn full_api_surface_over_loopback() {
         Err(risgraph_common::Error::EdgeNotFound(_))
     ));
 
-    // History release + stats.
+    // History release + the completion-latency histogram.
     c.release_history(r3.version).unwrap();
-    let stats = c.stats().unwrap();
-    assert!(stats.latency_count >= 6, "updates sampled: {stats:?}");
-    assert!(stats.latency_p50_ns > 0);
-    assert!(stats.latency_p999_ns >= stats.latency_p50_ns);
-    assert_eq!(stats.version, c.current_version().unwrap());
+    let latency = c
+        .metrics()
+        .unwrap()
+        .into_iter()
+        .find_map(|(name, value)| match value {
+            MetricValue::Histogram(h) if name == "core.update_latency_ns" => Some(h),
+            _ => None,
+        })
+        .expect("core.update_latency_ns");
+    assert!(latency.count >= 6, "updates sampled: {latency:?}");
+    assert!(latency.p50_ns > 0);
+    assert!(latency.p999_ns >= latency.p50_ns);
 
     srv.shutdown();
 }

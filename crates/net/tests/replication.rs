@@ -10,6 +10,7 @@ use std::time::{Duration, Instant};
 
 use risgraph_algorithms::Bfs;
 use risgraph_common::ids::{Edge, Update};
+use risgraph_common::metrics::MetricValue;
 use risgraph_common::protocol::{read_frame, write_frame, Request, Response, MAX_RESPONSE_FRAME};
 use risgraph_core::engine::DynAlgorithm;
 use risgraph_core::server::ServerConfig;
@@ -221,10 +222,18 @@ fn replica_listener_serves_reads_and_refuses_writes() {
     }
     let mods = ro.get_modified_vertices(0, last).unwrap();
     assert_eq!(mods, vec![5], "version {last} modified vertex 5");
-    let stats = ro.stats().unwrap();
-    assert_eq!(stats.version, last);
-    assert_eq!(stats.replication_lag, 0);
-    assert!(stats.replication_records > 0);
+    let snap = ro.metrics().unwrap();
+    let metric = |name: &str| {
+        snap.iter()
+            .find_map(|(n, v)| match *v {
+                MetricValue::Counter(x) | MetricValue::Gauge(x) if n == name => Some(x),
+                _ => None,
+            })
+            .unwrap_or_else(|| panic!("{name} missing"))
+    };
+    assert_eq!(metric("replica.version"), last);
+    assert_eq!(metric("replica.lag"), 0);
+    assert!(metric("replica.records_applied") > 0);
     // Mutations are refused without disturbing the connection.
     match ro.ins_edge(Edge::new(9, 9, 9)).unwrap().outcome {
         Err(e) => assert!(e.to_string().contains("read-only replica"), "{e}"),

@@ -11,6 +11,9 @@
 //! * the same reply outcome, safety class and result-change count;
 //! * the same point-in-time query answers (`get_value`) at each reply's
 //!   version, both between the servers and against the oracle;
+//! * a *certificate* for each of those values (`get_parent`): a live
+//!   edge that yields the value from its source's — parents may differ
+//!   between servers on ties, but each must prove its answer;
 //! * the same `get_modified_vertices` set per version;
 //! * and finally the same value snapshot, current version, and
 //!   count-annotated store contents.
@@ -24,7 +27,7 @@
 use std::sync::Arc;
 
 use risgraph_algorithms::Monotonic;
-use risgraph_common::ids::{Update, VersionId};
+use risgraph_common::ids::{Edge, Update, VersionId};
 use risgraph_core::engine::{Engine, Safety};
 use risgraph_core::server::{Reply, Server};
 use risgraph_storage::DynamicGraph;
@@ -229,6 +232,36 @@ fn touched_vertices(stream: &[Update]) -> Vec<u64> {
     vs
 }
 
+/// Assert that `parent` — what a server answered for `get_parent` of `v`
+/// at the version where the oracle says `want` — certifies `want[v]`: it
+/// is an edge into `v` present in `live` (either way round for an
+/// undirected algorithm) whose generated value from its source's is
+/// `v`'s. Call only for a `v` off its initial value.
+fn assert_certified<A: Monotonic<Value = u64>>(
+    alg: &A,
+    live: &[LiveEdge],
+    want: &[u64],
+    v: u64,
+    parent: Option<Edge>,
+    ctx: &str,
+) {
+    let e = parent.unwrap_or_else(|| {
+        panic!(
+            "{ctx}: vertex {v} holds {} but has no parent",
+            want[v as usize]
+        )
+    });
+    assert_eq!(e.dst, v, "{ctx}: parent {e:?} does not point at {v}");
+    let present = live.contains(&(e.src, e.dst, e.data))
+        || (alg.undirected() && live.contains(&(e.dst, e.src, e.data)));
+    assert!(present, "{ctx}: parent {e:?} of {v} is not a live edge");
+    assert_eq!(
+        alg.gen_next(e, want[e.src as usize]),
+        want[v as usize],
+        "{ctx}: parent {e:?} of {v} does not yield its value"
+    );
+}
+
 /// Assert full observable equivalence of two servers that executed the
 /// same per-session `streams` (see module docs for what is compared).
 /// Sessions must touch pairwise-disjoint vertex regions — that is what
@@ -281,6 +314,12 @@ pub fn assert_servers_equivalent<A: Monotonic<Value = u64> + Copy>(
                 let vb = query_b.get_value(0, sb.version, v).unwrap();
                 assert_eq!(va, want[v as usize], "{ctx}: server A value of {v}");
                 assert_eq!(vb, want[v as usize], "{ctx}: server B value of {v}");
+                if want[v as usize] != alg.init_val(v) {
+                    let pa = query_a.get_parent(0, sa.version, v).unwrap();
+                    let pb = query_b.get_parent(0, sb.version, v).unwrap();
+                    assert_certified(&alg, &live, &want, v, pa, &format!("{ctx}: server A"));
+                    assert_certified(&alg, &live, &want, v, pb, &format!("{ctx}: server B"));
+                }
             }
             // Identical history: the same versions record the same
             // modification sets, confined to this session's region.

@@ -104,6 +104,12 @@ impl BufMut for BytesMut {
     }
 }
 
+impl Extend<u8> for BytesMut {
+    fn extend<T: IntoIterator<Item = u8>>(&mut self, iter: T) {
+        self.0.extend(iter);
+    }
+}
+
 /// An immutable byte view with a read cursor.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Bytes {

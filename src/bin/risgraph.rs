@@ -253,7 +253,7 @@ fn parse_args() -> Args {
                      --follow    serve as a read replica of the leader at ADDR: stream its\n\
                      \u{20}           epoch WAL records, apply them locally, and answer the\n\
                      \u{20}           read-only Table 1 surface on --listen at the applied\n\
-                     \u{20}           watermark (lag reported in STATS)\n\
+                     \u{20}           watermark (lag reported in METRICS)\n\
                      --max-followers N  leader-side replication slots (serve mode;\n\
                      \u{20}           default 4, 0 disables the feed)\n\
                      --net-workers N  reactor worker threads for the serving tier\n\

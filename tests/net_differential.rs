@@ -295,9 +295,22 @@ fn net_soak() {
     // Server still healthy after the soak.
     let c = NetClient::connect(addr).unwrap();
     assert!(c.ins_edge(Edge::new(3, 4, 0)).unwrap().outcome.is_ok());
-    let stats = c.stats().unwrap();
-    assert!(stats.latency_count > 0);
-    assert_eq!(stats.followers, 1, "the follower stayed subscribed");
+    use risgraph::common::metrics::MetricValue;
+    let snap = c.metrics().unwrap();
+    let latency = snap
+        .iter()
+        .find_map(|(name, value)| match value {
+            MetricValue::Histogram(h) if name == "core.update_latency_ns" => Some(*h),
+            _ => None,
+        })
+        .expect("core.update_latency_ns");
+    assert!(latency.count > 0);
+    assert!(
+        snap.iter()
+            .any(|(name, value)| name == "replication.feed.followers"
+                && *value == MetricValue::Gauge(1)),
+        "the follower stayed subscribed"
+    );
 
     // The follower drains the feed tail: its watermark converges to
     // the leader's final version with a clean stream — zero protocol
@@ -329,7 +342,7 @@ fn net_soak() {
     println!(
         "net_soak: {total} ops, p50={}ns p99={}ns p999={}ns; follower applied \
          {applied} records over {samples} samples, worst lag {worst_lag} versions",
-        stats.latency_p50_ns, stats.latency_p99_ns, stats.latency_p999_ns
+        latency.p50_ns, latency.p99_ns, latency.p999_ns
     );
     drop(c);
     Arc::try_unwrap(follower).ok().unwrap().shutdown();

@@ -2,22 +2,18 @@
 //! tracer, and the `METRICS` wire opcode observed from a real client
 //! against a real TCP server under load.
 //!
-//! The acceptance triangle for the observability layer:
+//! The acceptance pair for the observability layer:
 //!  1. a loaded server reports per-phase epoch histograms (safe
 //!     execute, barrier wait, WAL append, feed publish, …) over
 //!     `METRICS`;
 //!  2. with the slow-epoch threshold at zero every traced epoch is
-//!     flagged, and a flagged trace carries its full phase breakdown;
-//!  3. a protocol-v1 client that only speaks `STATS` still receives
-//!     the fixed-field `StatsReport`, byte-for-byte — the registry is
-//!     additive, never a migration.
+//!     flagged, and a flagged trace carries its full phase breakdown.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use risgraph::algorithms::Wcc;
 use risgraph::common::metrics::{MetricValue, Phase};
-use risgraph::common::protocol::{read_frame, write_frame, Request, Response, MAX_RESPONSE_FRAME};
 use risgraph::prelude::*;
 use risgraph_net::{FollowerConfig, NetClient, NetConfig, NetServer, ReplicaServer};
 use risgraph_testkit::{
@@ -225,59 +221,6 @@ fn zero_threshold_flags_epochs_with_full_breakdown() {
     // Flagged epochs are a subset of the recent ring's view of history.
     let recent = net.server().tracer().recent(64);
     assert!(!recent.is_empty());
-    net.shutdown();
-}
-
-/// A v1 client (no Hello, fixed-field STATS) against the instrumented
-/// server: the reply must still be the exact `StatsReport` encoding —
-/// decode cleanly AND re-encode to the identical bytes, proving no new
-/// fields leaked into the legacy view.
-#[test]
-fn v1_stats_report_is_byte_compatible() {
-    let (net, _) = loaded_server();
-
-    let mut sock = std::net::TcpStream::connect(net.local_addr()).expect("connect");
-    sock.set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let mut frame = Vec::new();
-    write_frame(&mut frame, &Request::Stats.encode(42)).unwrap();
-    use std::io::Write as _;
-    sock.write_all(&frame).unwrap();
-
-    let mut reader = std::io::BufReader::new(sock);
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let payload = loop {
-        match read_frame(&mut reader, MAX_RESPONSE_FRAME) {
-            Ok(Some(p)) => break p,
-            Ok(None) => {
-                assert!(Instant::now() < deadline, "no STATS reply before deadline");
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => panic!("frame error: {e}"),
-        }
-    };
-    let (req_id, resp) = Response::decode(&payload).expect("decode STATS reply");
-    assert_eq!(req_id, 42);
-    let report = match &resp {
-        Response::Stats(r) => *r,
-        other => panic!("expected Stats, got {other:?}"),
-    };
-    assert!(report.epochs > 0, "report should reflect the load");
-    assert_eq!(
-        resp.encode(42),
-        payload,
-        "StatsReport encoding must be byte-identical to the v1 shape"
-    );
-
-    // The same numbers are visible through the registry: the report is
-    // a compatibility view, not a second set of books.
-    let client = NetClient::connect(net.local_addr()).expect("connect");
-    let snap = client.metrics().expect("METRICS");
-    assert_eq!(counter(&snap, "core.epochs"), Some(report.epochs));
-    assert_eq!(
-        counter(&snap, "core.safe_executed"),
-        Some(report.safe_executed)
-    );
     net.shutdown();
 }
 

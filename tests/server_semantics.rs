@@ -293,12 +293,11 @@ fn unsafe_txn_rollback_restores_results() {
     srv.shutdown();
 }
 
-/// A rolled-back transaction re-derives results and records nothing, so
-/// it may leave a live parent pointer on another, equally good edge —
-/// here 3's, on 2→3 instead of 1→3. A read of a version older than the
-/// vertex's last recorded change must not pick that up: at `v0` vertex
-/// 2 is not even reachable. (From that change on — `v1` here — reads
-/// answer from the live tree, rolled-back moves included; ROADMAP.)
+/// A rolled-back transaction records nothing, so it must leave the tree
+/// it found: re-deriving results would settle 3's parent on another,
+/// equally good edge — 2→3 instead of 1→3 — that no version ever had,
+/// and every read older than now would pick it up. At `v0` and `v1`
+/// vertex 2 is not even reachable.
 #[test]
 fn rollback_moving_a_live_parent_does_not_rewrite_older_versions() {
     let srv: Server = Server::start(
@@ -325,6 +324,9 @@ fn rollback_moving_a_live_parent_does_not_rewrite_older_versions() {
     for version in [v1, v2] {
         assert_eq!(s.get_value(0, version, 3).unwrap(), 2);
     }
+    // At v1 vertex 2 is unreachable: 3's parent there is still 1 → 3,
+    // not the 2 → 3 a forward re-run of the rollback would settle on.
+    assert_eq!(s.get_parent(0, v1, 3).unwrap(), Some(Edge::new(1, 3, 0)));
     srv.shutdown();
 }
 
