@@ -13,10 +13,24 @@
 //! with its own server-side ordering domain, all sharing the reader,
 //! the demux, and the globally-unique request-id space (which is why
 //! responses need no session tag).
+//!
+//! Requests ride the wire in bursts. Every request is framed into one
+//! per-connection out-buffer, and a send writes that buffer to the
+//! socket at once unless all three hold: a delivered reply is waiting
+//! for a caller to collect it, no caller is parked waiting for a reply,
+//! and the buffer is under 64 KiB. Otherwise the bytes go out
+//! with the first of: a wait that is about to park, the wait that
+//! collects the last ready reply, a later send for which the three no
+//! longer hold, [`NetClient::flush`], or dropping the client. A closed
+//! loop that keeps a window in flight so pays one `write` per reply
+//! burst rather than one per request, while a sender whose receiver has
+//! caught up still writes each request as it is made. The reader thread
+//! never writes: blocked in `write`, it would stop draining replies
+//! while the server waits for its own output to drain.
 
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -49,10 +63,42 @@ pub struct NetReply {
     pub outcome: Result<NetApplied>,
 }
 
-/// Reply slots shared between callers and the demultiplexer thread.
+/// Buffered request bytes are written once they reach this size, even
+/// behind an uncollected reply.
+const OUT_BUF_CAP: usize = 64 * 1024;
+
+const SLOTS_POISONED: &str = "a caller panicked holding the reply slots";
+const OUT_POISONED: &str = "a caller panicked holding the out-buffer";
+
+/// Reply slots shared between callers and the demultiplexer thread,
+/// and the request out-buffer whose writes the reply traffic paces.
+///
+/// Two pairs of flags close the windows in which buffered bytes could
+/// be left behind with nobody to write them. In each pair both sides
+/// write their own flag and then read the other's, all `SeqCst`, so at
+/// least one of them sees the other:
+/// - a send raises `unsent` and reads `parked`; a waiter about to park
+///   raises `parked` and reads `unsent`;
+/// - a send raises `unsent` and reads `uncollected`; the collector of
+///   the last ready reply takes `uncollected` to zero and reads
+///   `unsent`.
 struct Demux {
     slots: Mutex<DemuxState>,
     cv: Condvar,
+    /// Delivered replies no caller has collected yet (`ready.len()`,
+    /// readable without the mutex).
+    uncollected: AtomicUsize,
+    /// Callers in [`Demux::wait`] that have announced they will park.
+    parked: AtomicUsize,
+    out: Mutex<OutBuf>,
+    /// `out` holds bytes not yet written (readable without its mutex).
+    unsent: AtomicBool,
+}
+
+/// Framed requests not yet written, and where they go.
+struct OutBuf {
+    bytes: Vec<u8>,
+    sink: Box<dyn Write + Send>,
 }
 
 struct DemuxState {
@@ -68,14 +114,34 @@ struct DemuxState {
 }
 
 impl Demux {
+    fn new(sink: Box<dyn Write + Send>) -> Demux {
+        Demux {
+            slots: Mutex::new(DemuxState {
+                ready: FxHashMap::default(),
+                dead: None,
+                waiters: 0,
+            }),
+            cv: Condvar::new(),
+            uncollected: AtomicUsize::new(0),
+            parked: AtomicUsize::new(0),
+            out: Mutex::new(OutBuf {
+                bytes: Vec::new(),
+                sink,
+            }),
+            unsent: AtomicBool::new(false),
+        }
+    }
+
     /// File a response under its request id and wake whoever waits.
     /// std's `Condvar::notify_all` is a `futex` syscall whether or not
     /// anyone listens, so it is issued only when a caller is parked: a
     /// caller that locks after this insert finds its response and never
     /// waits.
     fn deliver(&self, req_id: u64, resp: Response) {
-        let mut s = self.slots.lock().unwrap();
-        s.ready.insert(req_id, resp);
+        let mut s = self.slots.lock().expect(SLOTS_POISONED);
+        if s.ready.insert(req_id, resp).is_none() {
+            self.uncollected.fetch_add(1, Ordering::SeqCst);
+        }
         let wake = s.waiters > 0;
         drop(s);
         if wake {
@@ -83,28 +149,115 @@ impl Demux {
         }
     }
 
-    /// Block until the response for `id` arrives (or the reader dies).
+    /// Fail every waiter with `reason` (the first reason given stays).
+    fn fail(&self, reason: String) {
+        self.slots
+            .lock()
+            .expect(SLOTS_POISONED)
+            .dead
+            .get_or_insert(reason);
+        self.cv.notify_all();
+    }
+
+    /// Block until the response for `id` arrives (or the connection
+    /// dies). Writes the out-buffer before parking, and after
+    /// collecting the last ready reply.
     fn wait(&self, id: u64) -> Result<Response> {
-        let mut s = self.slots.lock().unwrap();
-        loop {
+        let mut s = self.slots.lock().expect(SLOTS_POISONED);
+        let mut announced = false;
+        let got = loop {
             if let Some(resp) = s.ready.remove(&id) {
-                return Ok(resp);
+                break Ok(resp);
             }
             if let Some(reason) = &s.dead {
-                return Err(Error::Protocol(reason.clone()));
+                break Err(Error::Protocol(reason.clone()));
+            }
+            if !announced {
+                // Announce the park, then look at the out-buffer once
+                // more: bytes buffered before the look are written
+                // here, a send after it finds `parked` up and writes
+                // its own. Never write under the slots mutex — the
+                // reader needs it to drain the replies a blocked write
+                // may be waiting behind.
+                announced = true;
+                self.parked.fetch_add(1, Ordering::SeqCst);
+                if self.unsent.load(Ordering::SeqCst) {
+                    drop(s);
+                    // A failed write fails the connection, which the
+                    // next pass reports.
+                    let _ = self.flush();
+                    s = self.slots.lock().expect(SLOTS_POISONED);
+                    continue;
+                }
             }
             s.waiters += 1;
             #[cfg(test)]
             tests::before_wait();
             s = self.cv.wait(s).unwrap();
             s.waiters -= 1;
+        };
+        if announced {
+            self.parked.fetch_sub(1, Ordering::SeqCst);
         }
+        let emptied = got.is_ok() && self.uncollected.fetch_sub(1, Ordering::SeqCst) == 1;
+        drop(s);
+        // The collector that empties the ready set writes what was
+        // buffered behind it; a send after the decrement finds the set
+        // empty and writes its own.
+        if emptied && self.unsent.load(Ordering::SeqCst) {
+            let _ = self.flush();
+        }
+        #[cfg(test)]
+        tests::after_collect();
+        got
+    }
+
+    /// Frame `payload` into the out-buffer and write the buffer unless
+    /// someone else will soon: a delivered reply is waiting for a
+    /// caller (whose collection writes it), nobody is parked (a parked
+    /// caller would not), and the buffer is under [`OUT_BUF_CAP`].
+    fn send(&self, payload: &[u8]) -> Result<()> {
+        let mut out = self.out.lock().expect(OUT_POISONED);
+        // Writing into a Vec cannot fail.
+        let _ = write_frame(&mut out.bytes, payload);
+        self.unsent.store(true, Ordering::SeqCst);
+        if out.bytes.len() < OUT_BUF_CAP
+            && self.parked.load(Ordering::SeqCst) == 0
+            && self.uncollected.load(Ordering::SeqCst) > 0
+        {
+            return Ok(());
+        }
+        self.write_out(&mut out)
+    }
+
+    /// Write whatever is buffered.
+    fn flush(&self) -> Result<()> {
+        if !self.unsent.load(Ordering::SeqCst) {
+            return Ok(());
+        }
+        self.write_out(&mut self.out.lock().expect(OUT_POISONED))
+    }
+
+    /// Write and empty `out`. A failed write leaves the byte stream
+    /// torn, so it fails the connection: every waiter gets the error
+    /// rather than waiting on a request that never left.
+    fn write_out(&self, out: &mut OutBuf) -> Result<()> {
+        if out.bytes.is_empty() {
+            return Ok(());
+        }
+        let written = out.sink.write_all(&out.bytes);
+        out.bytes.clear();
+        self.unsent.store(false, Ordering::SeqCst);
+        written.map_err(|e| {
+            let reason = format!("request write failed: {e}");
+            self.fail(reason.clone());
+            Error::Protocol(reason)
+        })
     }
 }
 
 /// A blocking **and** pipelined client for one server connection.
 pub struct NetClient {
-    writer: Mutex<BufWriter<TcpStream>>,
     stream: TcpStream,
     demux: Arc<Demux>,
     reader: Option<JoinHandle<()>>,
@@ -163,14 +316,7 @@ impl NetClient {
         let read_half = stream
             .try_clone()
             .map_err(|e| Error::Protocol(format!("clone failed: {e}")))?;
-        let demux = Arc::new(Demux {
-            slots: Mutex::new(DemuxState {
-                ready: FxHashMap::default(),
-                dead: None,
-                waiters: 0,
-            }),
-            cv: Condvar::new(),
-        });
+        let demux = Arc::new(Demux::new(Box::new(write_half)));
         let reader_demux = Arc::clone(&demux);
         let reader = std::thread::Builder::new()
             .name("risgraph-net-client-reader".into())
@@ -206,14 +352,10 @@ impl NetClient {
                         Err(e) => break e.to_string(),
                     }
                 };
-                let mut s = reader_demux.slots.lock().unwrap();
-                s.dead = Some(reason);
-                drop(s);
-                reader_demux.cv.notify_all();
+                reader_demux.fail(reason);
             })
             .map_err(|e| Error::Protocol(format!("spawn reader: {e}")))?;
         Ok(NetClient {
-            writer: Mutex::new(BufWriter::new(write_half)),
             stream,
             demux,
             reader: Some(reader),
@@ -256,13 +398,18 @@ impl NetClient {
                 payload.len()
             )));
         }
-        let mut w = self.writer.lock().unwrap();
-        write_frame(&mut *w, &payload)?;
-        w.flush()?;
+        self.demux.send(&payload)?;
         Ok(id)
     }
 
     /// Send `req`, returning its request id without waiting.
+    ///
+    /// The request reaches the socket before this returns unless a
+    /// delivered reply is still waiting to be collected, no caller is
+    /// parked in a wait, and the out-buffer is under 64 KiB. Then it
+    /// is buffered, and written by the next wait that parks or
+    /// that collects the last ready reply, by a later send that is
+    /// written, by [`NetClient::flush`], or when the client drops.
     pub fn send(&self, req: &Request) -> Result<u64> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         self.send_payload(id, req.encode(id))
@@ -274,9 +421,17 @@ impl NetClient {
         self.send_payload(id, req.encode_in_session(id, sid))
     }
 
-    /// Block until the response for `id` arrives.
+    /// Block until the response for `id` arrives. Writes any buffered
+    /// requests before it parks.
     pub fn wait(&self, id: u64) -> Result<Response> {
         self.demux.wait(id)
+    }
+
+    /// Write every buffered request to the socket now. Needed only by a
+    /// caller that will neither wait nor send again for a while but
+    /// wants the server to see what it sent (see [`NetClient::send`]).
+    pub fn flush(&self) -> Result<()> {
+        self.demux.flush()
     }
 
     fn call(&self, req: &Request) -> Result<Response> {
@@ -288,7 +443,9 @@ impl NetClient {
 
     /// Submit an update without waiting; pair with
     /// [`NetClient::wait_reply`] to collect it later. Keep several in
-    /// flight to pipeline the connection.
+    /// flight to pipeline the connection. Reaches the socket when
+    /// [`NetClient::send`] says: at once, or with the burst the next
+    /// wait writes.
     pub fn submit_update_pipelined(&self, u: &Update) -> Result<u64> {
         self.send(&Request::Update(*u))
     }
@@ -489,7 +646,8 @@ impl SessionHandle<'_> {
     }
 
     /// Submit an update on this session without waiting; pair with
-    /// [`SessionHandle::wait_reply`].
+    /// [`SessionHandle::wait_reply`]. Written to the socket as
+    /// [`NetClient::send`] says.
     pub fn submit_update_pipelined(&self, u: &Update) -> Result<u64> {
         self.client.send_in_session(&Request::Update(*u), self.sid)
     }
@@ -575,6 +733,7 @@ impl SessionHandle<'_> {
 
 impl Drop for NetClient {
     fn drop(&mut self) {
+        let _ = self.demux.flush();
         let _ = self.stream.shutdown(Shutdown::Both);
         if let Some(h) = self.reader.take() {
             let _ = h.join();
@@ -597,22 +756,57 @@ mod tests {
             const { std::cell::RefCell::new(None) };
     }
 
+    thread_local! {
+        /// Runs once on this thread as a wait returns, after a
+        /// collector's last look at the out-buffer.
+        static AFTER_COLLECT: std::cell::RefCell<Option<Box<dyn FnOnce()>>> =
+            const { std::cell::RefCell::new(None) };
+    }
+
     pub(super) fn before_wait() {
         if let Some(hook) = BEFORE_WAIT.with(|h| h.borrow_mut().take()) {
             hook();
         }
     }
 
-    fn demux() -> Arc<Demux> {
-        Arc::new(Demux {
-            slots: Mutex::new(DemuxState {
-                ready: FxHashMap::default(),
-                dead: None,
-                waiters: 0,
-            }),
-            cv: Condvar::new(),
-        })
+    pub(super) fn after_collect() {
+        if let Some(hook) = AFTER_COLLECT.with(|h| h.borrow_mut().take()) {
+            hook();
+        }
     }
+
+    fn demux() -> Arc<Demux> {
+        Arc::new(Demux::new(Box::new(std::io::sink())))
+    }
+
+    /// A sink that hands every write to the test, which plays the peer.
+    struct Wire(std::sync::mpsc::Sender<Vec<u8>>);
+
+    impl Write for Wire {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let _ = self.0.send(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A demux writing into a [`Wire`], with one delivered reply (id 1)
+    /// left uncollected, so a send is buffered unless a waiter parks.
+    fn wired() -> (Arc<Demux>, std::sync::mpsc::Receiver<Vec<u8>>) {
+        let (tx, rx) = channel();
+        let demux = Arc::new(Demux::new(Box::new(Wire(tx))));
+        demux.deliver(1, Response::Released);
+        (demux, rx)
+    }
+
+    fn request(id: u64) -> Vec<u8> {
+        Request::CurrentVersion.encode(id)
+    }
+
+    const PATIENCE: Duration = Duration::from_secs(10);
 
     /// A response delivered while its caller sits between the empty
     /// check and the wait must still wake it: the delivery reaches the
@@ -666,5 +860,129 @@ mod tests {
         let demux = demux();
         demux.deliver(3, Response::Version(9));
         assert!(matches!(demux.wait(3), Ok(Response::Version(9))));
+    }
+
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, payload).unwrap();
+        bytes
+    }
+
+    /// Parking, send side: a send made after a waiter announced its park
+    /// and took its last look at the out-buffer must find `parked` up
+    /// and write at once, since the waiter will not. Red (the request
+    /// never reaches the wire, the waiter never returns) with the send's
+    /// read of `parked` removed.
+    #[test]
+    fn a_send_behind_a_parked_waiter_is_written_at_once() {
+        let (demux, wire) = wired();
+        let (got_tx, got_rx) = channel();
+        let waiter = {
+            let demux = Arc::clone(&demux);
+            std::thread::spawn(move || {
+                let sender = Arc::clone(&demux);
+                BEFORE_WAIT.with(|h| {
+                    *h.borrow_mut() = Some(Box::new(move || {
+                        std::thread::spawn(move || sender.send(&request(2)).unwrap())
+                            .join()
+                            .unwrap();
+                    }));
+                });
+                got_tx.send(demux.wait(2)).unwrap();
+            })
+        };
+        // Play the server: answer request 2 once its bytes arrive.
+        let bytes = wire
+            .recv_timeout(PATIENCE)
+            .expect("lost flush: a send stayed buffered behind a parked waiter");
+        assert_eq!(bytes, framed(&request(2)));
+        demux.deliver(2, Response::Version(5));
+        let got = got_rx
+            .recv_timeout(PATIENCE)
+            .expect("the waiter never returned");
+        assert!(matches!(got, Ok(Response::Version(5))));
+        waiter.join().unwrap();
+    }
+
+    /// Parking, waiter side: a send made before the waiter announced its
+    /// park finds nobody parked and stays buffered behind the
+    /// uncollected reply, so the waiter's look after its announcement
+    /// must write it. Red (nothing reaches the wire) with that look
+    /// removed.
+    #[test]
+    fn a_wait_about_to_park_writes_the_buffer() {
+        let (demux, wire) = wired();
+        demux.send(&request(2)).unwrap();
+        assert!(wire.try_recv().is_err(), "buffered behind reply 1");
+        let waiter = {
+            let demux = Arc::clone(&demux);
+            std::thread::spawn(move || demux.wait(2))
+        };
+        let bytes = wire
+            .recv_timeout(PATIENCE)
+            .expect("lost flush: the waiter parked on its own buffered request");
+        assert_eq!(bytes, framed(&request(2)));
+        demux.deliver(2, Response::Version(5));
+        assert!(matches!(waiter.join().unwrap(), Ok(Response::Version(5))));
+    }
+
+    /// Collecting, send side: a send made after the last ready reply
+    /// was collected, and after the collector's last look at the
+    /// out-buffer, must find nothing uncollected and write at once.
+    /// Red with the send's read of `uncollected` removed.
+    #[test]
+    fn a_send_after_the_last_collection_is_written_at_once() {
+        let (demux, wire) = wired();
+        let sender = Arc::clone(&demux);
+        AFTER_COLLECT.with(|h| {
+            *h.borrow_mut() = Some(Box::new(move || {
+                std::thread::spawn(move || sender.send(&request(2)).unwrap())
+                    .join()
+                    .unwrap();
+            }));
+        });
+        assert!(matches!(demux.wait(1), Ok(Response::Released)));
+        let bytes = wire
+            .try_recv()
+            .expect("lost flush: a send stayed buffered with nothing left to collect");
+        assert_eq!(bytes, framed(&request(2)));
+    }
+
+    /// Collecting, collector side: sends made while a reply waits to be
+    /// collected stay buffered, and the wait that collects that last
+    /// ready reply writes them, in one write. Red with the collector's
+    /// look at `unsent` removed.
+    #[test]
+    fn collecting_the_last_ready_reply_writes_the_buffer() {
+        let (demux, wire) = wired();
+        demux.send(&request(2)).unwrap();
+        demux.send(&request(3)).unwrap();
+        assert!(wire.try_recv().is_err(), "buffered behind reply 1");
+        assert!(matches!(demux.wait(1), Ok(Response::Released)));
+        let mut burst = framed(&request(2));
+        burst.extend(framed(&request(3)));
+        let bytes = wire
+            .try_recv()
+            .expect("lost flush: the last collection left the buffer behind");
+        assert_eq!(bytes, burst);
+    }
+
+    /// Behind an uncollected reply with nobody parked, the buffer is
+    /// still written by the send that takes it to [`OUT_BUF_CAP`].
+    #[test]
+    fn a_full_out_buffer_is_written_without_a_wait() {
+        let (demux, wire) = wired();
+        let mut buffered = 0;
+        for id in 2.. {
+            demux.send(&request(id)).unwrap();
+            let frame = framed(&request(id)).len();
+            buffered += frame;
+            if let Ok(bytes) = wire.try_recv() {
+                assert_eq!(bytes.len(), buffered);
+                assert!(buffered >= OUT_BUF_CAP && buffered - frame < OUT_BUF_CAP);
+                return;
+            }
+            assert!(buffered < OUT_BUF_CAP, "{buffered} bytes held back");
+        }
     }
 }

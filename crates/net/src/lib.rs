@@ -42,7 +42,12 @@
 //!   [`Session::submit_op_tagged`](risgraph_core::server::Session::submit_op_tagged)
 //!   without waiting; replies carry the wire request id and may
 //!   complete out of order relative to queries (answered inline) —
-//!   exactly what the request-id protocol is for.
+//!   exactly what the request-id protocol is for. On the client side
+//!   requests ride the wire in bursts: [`NetClient`] buffers a request
+//!   while a delivered reply waits to be collected and nobody is parked,
+//!   and writes the buffer when a wait parks or collects the last ready
+//!   reply, at 64 KiB, on [`NetClient::flush`] or on drop — one `write`
+//!   per reply burst instead of one per request (see [`client`]).
 //! * **Backpressure:** a bounded in-flight window per connection; once
 //!   full, the worker parks the update and drops read interest, so TCP
 //!   flow control pushes back on the client. Outbound, a soft cap on

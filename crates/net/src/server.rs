@@ -154,6 +154,9 @@ const OUT_BUF_SOFT_CAP: usize = MAX_RESPONSE_FRAME;
 /// pending).
 const READ_BURST: usize = 256 * 1024;
 
+/// Free room a connection's read buffer keeps ahead of each `read`.
+const READ_CHUNK: usize = 64 * 1024;
+
 /// Updates per [`Response::SnapshotChunk`] frame — at 26 encoded bytes
 /// per update a full chunk stays far below the response frame cap.
 const SNAPSHOT_CHUNK_UPDATES: usize = 1 << 16;
@@ -365,6 +368,8 @@ impl NetServer {
                     shared: Arc::clone(shared),
                     admission: Arc::clone(&admission),
                     poller,
+                    reads: registry.counter("net.reactor.reads"),
+                    frames: registry.counter("net.reactor.frames"),
                 },
                 gauges: WorkerGauges {
                     connections: registry.gauge(&format!("net.worker.{i}.connections")),
@@ -476,6 +481,11 @@ struct Ctx {
     shared: Arc<WorkerShared>,
     admission: Arc<Admission>,
     poller: Poller,
+    /// Socket reads that returned bytes (`net.reactor.reads`) and the
+    /// request frames parsed out of them (`net.reactor.frames`), summed
+    /// over the workers.
+    reads: Arc<Counter>,
+    frames: Arc<Counter>,
 }
 
 impl Ctx {
@@ -543,10 +553,15 @@ struct SubState {
 struct Conn {
     token: u64,
     stream: TcpStream,
-    /// Unparsed inbound bytes; `rpos` marks how far frames have been
-    /// consumed (compacted lazily).
+    /// Inbound bytes live in `rbuf[rpos..rend]`: `rpos` marks how far
+    /// frames have been consumed, `rend` how far reads have filled. The
+    /// room past `rend` is reused by every read, never re-zeroed.
     rbuf: Vec<u8>,
     rpos: usize,
+    rend: usize,
+    /// Reads and frames since the counters were last published.
+    reads: u64,
+    frames: u64,
     /// Encoded outbound frames; `wpos` marks how far the socket has
     /// accepted them (compacted lazily).
     wbuf: Vec<u8>,
@@ -582,6 +597,9 @@ impl Conn {
             stream,
             rbuf: Vec::new(),
             rpos: 0,
+            rend: 0,
+            reads: 0,
+            frames: 0,
             wbuf: Vec::new(),
             wpos: 0,
             proto_version: 1,
@@ -627,8 +645,13 @@ impl Conn {
     /// errors (after the best-effort id-0 report).
     fn begin_close(&mut self) {
         self.read_closed = true;
-        self.rbuf.clear();
+        self.discard_input();
+    }
+
+    /// Drop every unparsed inbound byte.
+    fn discard_input(&mut self) {
         self.rpos = 0;
+        self.rend = 0;
     }
 
     /// Pull bytes off the socket (bounded per event for fairness).
@@ -660,33 +683,40 @@ impl Conn {
         }
         let mut total = 0;
         loop {
-            let old_len = self.rbuf.len();
-            self.rbuf.resize(old_len + 64 * 1024, 0);
-            match self.stream.read(&mut self.rbuf[old_len..]) {
+            if self.rbuf.len() - self.rend < READ_CHUNK {
+                // Move the unparsed tail to the front, and grow only if
+                // that still leaves too little room.
+                if self.rpos > 0 {
+                    self.rbuf.copy_within(self.rpos..self.rend, 0);
+                    self.rend -= self.rpos;
+                    self.rpos = 0;
+                }
+                if self.rbuf.len() - self.rend < READ_CHUNK {
+                    self.rbuf.resize(self.rend + READ_CHUNK, 0);
+                }
+            }
+            let room = self.rbuf.len() - self.rend;
+            match self.stream.read(&mut self.rbuf[self.rend..]) {
                 Ok(0) => {
-                    self.rbuf.truncate(old_len);
                     self.read_closed = true;
                     return;
                 }
                 Ok(n) => {
-                    self.rbuf.truncate(old_len + n);
+                    self.rend += n;
+                    self.reads += 1;
                     total += n;
-                    if total >= burst {
+                    // A short read emptied the socket; level-triggered
+                    // epoll fires again if more arrives.
+                    if n < room || total >= burst {
                         return;
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    self.rbuf.truncate(old_len);
-                    return;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
-                    self.rbuf.truncate(old_len);
-                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => {
                     // Abrupt reset: immediate teardown; any replies
                     // still executing complete in the epoch loop and
                     // are discarded harmlessly.
-                    self.rbuf.truncate(old_len);
                     self.dead = true;
                     return;
                 }
@@ -697,7 +727,7 @@ impl Conn {
     /// Extract the next complete frame payload from the read buffer.
     /// `Ok(None)` means more bytes are needed.
     fn next_frame(&mut self, max_frame: usize) -> Result<Option<Vec<u8>>> {
-        let avail = &self.rbuf[self.rpos..];
+        let avail = &self.rbuf[self.rpos..self.rend];
         if avail.len() < FRAME_HEADER {
             return Ok(None);
         }
@@ -719,10 +749,10 @@ impl Conn {
             )));
         }
         self.rpos += FRAME_HEADER + len;
-        if self.rpos > 64 * 1024 {
-            self.rbuf.drain(..self.rpos);
-            self.rpos = 0;
+        if self.rpos == self.rend {
+            self.discard_input();
         }
+        self.frames += 1;
         Ok(Some(payload))
     }
 
@@ -872,8 +902,7 @@ impl Conn {
     fn process(&mut self, ctx: &Ctx) {
         if self.sub.is_some() {
             // One-way from here: drop anything the peer still sent.
-            self.rbuf.clear();
-            self.rpos = 0;
+            self.discard_input();
             return;
         }
         loop {
@@ -897,15 +926,14 @@ impl Conn {
             let payload = match self.next_frame(ctx.net.max_frame) {
                 Ok(Some(p)) => p,
                 Ok(None) => {
-                    if self.read_closed && self.rpos < self.rbuf.len() {
+                    if self.read_closed && self.rpos < self.rend {
                         // EOF with a partial frame left over.
                         self.enqueue_failed(
                             &ctx.server,
                             0,
                             &Error::Protocol("torn frame at connection end".into()),
                         );
-                        self.rbuf.clear();
-                        self.rpos = 0;
+                        self.discard_input();
                     }
                     return;
                 }
@@ -1136,8 +1164,7 @@ impl Conn {
             });
         }
         self.sub = Some(sub);
-        self.rbuf.clear();
-        self.rpos = 0;
+        self.discard_input();
         self.pump_sub(ctx);
         false
     }
@@ -1246,7 +1273,7 @@ impl Conn {
         if self.dead || !self.read_closed || self.sub.is_some() {
             return;
         }
-        if self.rpos >= self.rbuf.len()
+        if self.rpos >= self.rend
             && self.pending.is_none()
             && self.inflight == 0
             && self.out_len() == 0
@@ -1260,6 +1287,19 @@ impl Conn {
     fn service(&mut self, ctx: &Ctx) {
         if !self.dead {
             self.process(ctx);
+        }
+        // One add per counter per pass, never one per frame, and before
+        // the pass writes a reply: a client holding its answer also
+        // sees the read and the frame that carried the request.
+        if self.reads > 0 {
+            ctx.reads
+                .fetch_add(std::mem::take(&mut self.reads), Ordering::Relaxed);
+        }
+        if self.frames > 0 {
+            ctx.frames
+                .fetch_add(std::mem::take(&mut self.frames), Ordering::Relaxed);
+        }
+        if !self.dead {
             if self.evicting.is_none() {
                 self.pump_sub(ctx);
             }

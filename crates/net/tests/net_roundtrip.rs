@@ -338,6 +338,11 @@ fn graceful_shutdown_drains_inflight_replies() {
                 .unwrap()
         })
         .collect();
+    // "Submitted" means written: a pipelined request may wait in the
+    // client's out-buffer behind an uncollected reply, and one still
+    // there when the drain takes its final read is never served. Write
+    // them all before the shutdown starts.
+    c.flush().unwrap();
     // Shut down concurrently with the in-flight pipeline: every reply
     // already submitted must still be delivered (drain, not abort).
     let shut = std::thread::spawn(move || srv.shutdown());

@@ -9,11 +9,13 @@
 //!  2. with the slow-epoch threshold at zero every traced epoch is
 //!     flagged, and a flagged trace carries its full phase breakdown.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use risgraph::algorithms::Wcc;
 use risgraph::common::metrics::{MetricValue, Phase};
+use risgraph::common::protocol::Request;
 use risgraph::prelude::*;
 use risgraph_net::{FollowerConfig, NetClient, NetConfig, NetServer, ReplicaServer};
 use risgraph_testkit::{
@@ -514,6 +516,76 @@ fn reply_nudges_write_the_eventfd_only_for_a_sleeping_worker() {
         assert!(text.lines().any(|l| l == line), "no `{line}` in:\n{text}");
     }
     drop(sessions);
+    drop(client);
+    net.shutdown();
+}
+
+/// Requests buffered behind an uncollected reply reach the server as
+/// one burst: 64 pipelined updates written by one `flush()` are parsed
+/// out of at most two socket reads (`net.reactor.frames` over
+/// `net.reactor.reads`), and both counters are in the Prometheus text.
+#[test]
+fn a_flushed_burst_is_parsed_out_of_few_reads() {
+    const UPDATES: u64 = 64;
+    let preload = star_preload(64);
+    let net = NetServer::start(
+        wcc_algorithms(),
+        128,
+        server_config(BackendKind::IaHash, 2),
+        NetConfig {
+            inflight_budget: 0,
+            session_quota: 0,
+            ..NetConfig::default()
+        },
+    )
+    .expect("server");
+    net.server().load_edges(&preload);
+    let client = NetClient::connect(net.local_addr()).expect("connect");
+    // Two queries are answered in order, so collecting the second
+    // leaves the first's reply delivered and uncollected: from here on
+    // the client buffers what it submits.
+    let held = client.send(&Request::CurrentVersion).expect("send");
+    let probe = client.send(&Request::CurrentVersion).expect("send");
+    client.wait(probe).expect("probe");
+
+    let registry = net.server().metrics();
+    let reads = registry.counter("net.reactor.reads");
+    let frames = registry.counter("net.reactor.frames");
+    let (reads_before, frames_before) = (
+        reads.load(Ordering::Relaxed),
+        frames.load(Ordering::Relaxed),
+    );
+    let ids: Vec<u64> = safe_churn(&preload, UPDATES as usize / 2, 17)
+        .iter()
+        .map(|u| client.submit_update_pipelined(u).expect("submit"))
+        .collect();
+    client.flush().expect("flush");
+    for id in ids {
+        client
+            .wait_reply(id)
+            .expect("reply")
+            .outcome
+            .expect("safe churn");
+    }
+    let (reads_after, frames_after) = (
+        reads.load(Ordering::Relaxed),
+        frames.load(Ordering::Relaxed),
+    );
+    let burst_reads = reads_after - reads_before;
+    let burst_frames = frames_after - frames_before;
+    assert_eq!(burst_frames, UPDATES);
+    assert!(
+        burst_reads >= 1 && burst_frames >= 32 * burst_reads,
+        "{burst_frames} frames in {burst_reads} reads"
+    );
+    let text = registry.render_prometheus();
+    for line in [
+        format!("risgraph_net_reactor_reads {reads_after}"),
+        format!("risgraph_net_reactor_frames {frames_after}"),
+    ] {
+        assert!(text.lines().any(|l| l == line), "no `{line}` in:\n{text}");
+    }
+    client.wait(held).expect("held reply");
     drop(client);
     net.shutdown();
 }
