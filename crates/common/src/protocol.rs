@@ -26,11 +26,9 @@
 //! (their opcode encodes the body shape), so a demultiplexer needs no
 //! per-request context to decode them.
 //!
-//! Since protocol version 2 ([`PROTOCOL_VERSION`]), a connection that
-//! has negotiated via [`Request::Hello`] may prefix any request body
-//! with a **session wrapper** (`[0x51] [sid: u64 LE]` between the
-//! request id and the inner opcode, see [`Request::InSession`]): the
-//! session id names a logical client session, so one TCP connection
+//! Any request body may carry a **session wrapper** (`[0x51] [sid:
+//! u64 LE]` between the request id and the inner opcode, see
+//! [`Request::InSession`]): the session id names a logical client session, so one TCP connection
 //! multiplexes many independently-ordered update streams. Responses
 //! are *not* wrapped — request ids are unique per connection, so the
 //! demultiplexer needs no session tag.
@@ -75,18 +73,15 @@ pub const MAX_RESPONSE_FRAME: usize = 8 * MAX_FRAME;
 /// Bytes of frame header preceding the payload (`len` + `crc`).
 pub const FRAME_HEADER: usize = 8;
 
-/// The newest protocol version this build speaks.
+/// The protocol version this build speaks — the only one.
 ///
-/// Version 1 is the original vocabulary (everything below except
-/// [`Request::Hello`]/[`Request::InSession`]). Version 2 adds
-/// **session multiplexing**: a connection that has negotiated v2 via
-/// [`Request::Hello`] may wrap any request in [`Request::InSession`],
-/// tagging it with a client-chosen logical session id so one TCP
-/// connection carries many independently-ordered update streams.
-/// Negotiation is a plain request/response pair (`Hello` → a
-/// [`Response::Hello`] carrying `min(client, server)`), so a v2 client
-/// talking to a v1 server sees an unknown-opcode failure and degrades
-/// gracefully, and a v1 client never notices the extension exists.
+/// Any request may be wrapped in [`Request::InSession`], tagging it
+/// with a client-chosen logical session id so one TCP connection
+/// carries many independently-ordered update streams. A client opens
+/// with [`Request::Hello`]; the server answers [`Response::Hello`]
+/// carrying this version, or [`Response::Busy`] when it is over its
+/// high-water mark. The exchange is the connect-time overload gate:
+/// nothing else depends on it.
 pub const PROTOCOL_VERSION: u32 = 2;
 
 // Request opcodes.
@@ -181,18 +176,17 @@ pub enum Request {
         /// (its applied-record count; 0 for a fresh replica).
         from: u64,
     },
-    /// Protocol-version negotiation (v2+). The client announces the
-    /// newest version it speaks; the server answers with
-    /// [`Response::Hello`] carrying `min(client, server)`, which
-    /// becomes the connection's version. Not allowed inside
+    /// The connect-time greeting. The client announces the version it
+    /// speaks; the server answers with [`Response::Hello`] carrying
+    /// [`PROTOCOL_VERSION`], or sheds the connection with
+    /// [`Response::Busy`] when overloaded. Not allowed inside
     /// [`Request::InSession`].
     Hello {
-        /// Newest protocol version the client speaks.
+        /// The protocol version the client speaks.
         version: u32,
     },
-    /// A request tagged with a logical session id (v2+, only after a
-    /// successful [`Request::Hello`]). Requests carrying the same `sid`
-    /// on one connection keep their submission order end-to-end;
+    /// A request tagged with a logical session id. Requests carrying
+    /// the same `sid` on one connection keep their submission order end-to-end;
     /// requests on different sids are independent and their replies may
     /// overtake each other. Wrapping another `InSession` (or a `Hello`)
     /// is a protocol error.
@@ -325,8 +319,7 @@ impl WireError {
 
 /// Why the server shed a request or evicted a connection — carried by
 /// [`Response::Busy`] so clients (and operators reading logs) can
-/// distinguish *which* admission limit fired. Protocol v2 only: a v1
-/// client is never sent a `Busy` frame.
+/// distinguish *which* admission limit fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BusyCause {
     /// The global in-flight update budget
@@ -452,16 +445,14 @@ pub enum Response {
         /// Leader result version the snapshot corresponds to.
         resume_version: u64,
     },
-    /// Answer to [`Request::Hello`]: the version the connection speaks
-    /// from here on (`min` of what both sides support).
+    /// Answer to [`Request::Hello`]: the server's
+    /// [`PROTOCOL_VERSION`].
     Hello {
-        /// The negotiated protocol version.
+        /// The server's protocol version.
         version: u32,
     },
     /// The request was shed by admission control instead of being
-    /// queued (v2 only — v1 clients keep the pre-admission park/
-    /// connection-error behavior and never see this opcode). The
-    /// request was not admitted: no session was allocated, the epoch
+    /// queued. The request was not admitted: no session was allocated, the epoch
     /// loop never saw it, and a retry after backoff is safe.
     Busy {
         /// Which admission limit fired.
@@ -700,7 +691,7 @@ fn put_request_body(buf: &mut Vec<u8>, req: &Request) {
 }
 
 /// Decode a request's body given its already-read opcode. `in_session`
-/// forbids the v2 wrapper opcodes (no nested `InSession`, no `Hello`
+/// forbids the wrapper opcodes (no nested `InSession`, no `Hello`
 /// inside a session).
 fn read_request_body(op: u8, c: &mut Cursor<'_>, in_session: bool) -> Result<Request> {
     Ok(match op {
@@ -759,7 +750,7 @@ impl Request {
         buf
     }
 
-    /// Encode as a frame payload carrying `req_id`, wrapped in a v2
+    /// Encode as a frame payload carrying `req_id`, wrapped in a
     /// session tag — equivalent to encoding
     /// `Request::InSession { sid, req: Box::new(self.clone()) }` but
     /// without the box or the clone (the client's per-session hot

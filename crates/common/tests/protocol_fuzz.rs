@@ -280,10 +280,9 @@ proptest! {
         }
     }
 
-    /// The negotiation carriers roundtrip for *every* version value —
-    /// 0, 1, the current version, and far-future ones — because the
-    /// downgrade path relies on exchanging versions neither side
-    /// necessarily speaks.
+    /// The `Hello` carriers roundtrip for *every* version value — 0, 1,
+    /// the current version, and far-future ones — because a client may
+    /// announce a version the server does not speak.
     #[test]
     fn hello_versions_roundtrip_including_unknown_ones(
         version in 0..=u32::MAX,
@@ -432,12 +431,11 @@ proptest! {
         }
     }
 
-    /// The v1-never-sees-Busy contract at the wire level: `Busy` owns
-    /// its opcode exclusively, so no response a v1-faithful server
-    /// emits — the entire pre-admission surface — can alias into a
-    /// Busy frame. Every sampled non-Busy response must carry a
-    /// different opcode byte; a v1 client can only receive a Busy
-    /// frame if the server deliberately encodes one.
+    /// `Busy` owns its opcode exclusively: no other response — the
+    /// entire surface admission predates — can alias into a Busy frame.
+    /// Every sampled non-Busy response must carry a different opcode
+    /// byte, so a client receives a Busy frame only when the server
+    /// deliberately encodes one.
     #[test]
     fn no_v1_surface_response_aliases_into_busy(
         pick in 0..90u64,

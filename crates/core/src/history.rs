@@ -11,7 +11,7 @@
 //!
 //! Both of the paper's structures live in one append-only log of
 //! fixed-size segments ([`SEGMENT_ENTRIES`] entries each). Recording a
-//! version appends one 36-byte [`UndoEntry`] per changed vertex —
+//! version appends one 36-byte `UndoEntry` per changed vertex —
 //! `(vertex, old value, old parent src, old parent weight, distance
 //! back to this vertex's previous entry)` — and stores the new entry's
 //! index in the per-vertex *head* table (8 B per vertex). The

@@ -126,7 +126,8 @@ pub struct ServerConfig {
     /// Maintain the history store (versioned snapshots).
     pub enable_history: bool,
     /// History GC cadence. The paper (§5) collects every second; the
-    /// default here is 100 ms, because [`HistoryStore::collect`] costs
+    /// default here is 100 ms, because
+    /// [`HistoryStore::collect`](crate::HistoryStore::collect) costs
     /// only the log segments it drops and defers nothing to later
     /// writes — collecting ten times as often is not more work, it only
     /// bounds resident history to the release lag plus 100 ms of
@@ -426,7 +427,7 @@ struct Envelope {
 /// Coordinator-visible counters, sampled by the Figure 11b/12 harnesses.
 ///
 /// Every field is an [`Arc`] handle into the server's metrics
-/// [`Registry`] (see [`ServerStats::registered`]), so the same cells
+/// [`Registry`] (see `ServerStats::registered`), so the same cells
 /// back both this struct's named accessors and the schema-less registry
 /// snapshot behind the `METRICS` opcode — no double accounting, no
 /// field threading. `Arc<Counter>`/`Arc<Gauge>` deref to the same

@@ -7,12 +7,13 @@
 //! / [`NetClient::wait_reply`]) — the shape the `net_load` harness uses
 //! to measure pipelined throughput against one-at-a-time submission.
 //!
-//! Connecting negotiates the protocol version with a `Hello` exchange;
-//! against a v2 server, [`NetClient::open_session`] multiplexes many
-//! logical sessions ([`SessionHandle`]) over the one socket — each
-//! with its own server-side ordering domain, all sharing the reader,
-//! the demux, and the globally-unique request-id space (which is why
-//! responses need no session tag).
+//! Connecting opens with a `Hello` exchange, the server's overload
+//! gate; [`NetClient::open_session`] then multiplexes many logical
+//! sessions ([`SessionHandle`]) over the one socket — each with its
+//! own server-side ordering domain, all sharing the reader, the demux,
+//! and the globally-unique request-id space (which is why responses
+//! need no session tag). Leader and read replica answer the same way;
+//! a replica refuses the requests that need the leader.
 //!
 //! Requests ride the wire in bursts. Every request is framed into one
 //! per-connection out-buffer, and a send writes that buffer to the
@@ -262,8 +263,6 @@ pub struct NetClient {
     demux: Arc<Demux>,
     reader: Option<JoinHandle<()>>,
     next_id: AtomicU64,
-    /// Negotiated protocol version (1 = no session multiplexing).
-    proto_version: u32,
     /// Next wire session id for [`NetClient::open_session`]. Session
     /// ids are client-chosen; the server creates sessions lazily on
     /// first use, so opening is purely local.
@@ -271,42 +270,9 @@ pub struct NetClient {
 }
 
 impl NetClient {
-    /// Connect to a [`crate::NetServer`], negotiating the highest
-    /// protocol version both sides speak.
+    /// Connect to a [`crate::NetServer`] (a leader, or a replica's
+    /// read-only listener) and exchange `Hello`.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<NetClient> {
-        Self::connect_with_version(addr, PROTOCOL_VERSION)
-    }
-
-    /// Connect offering at most protocol version `max_version`.
-    /// `max_version = 1` skips the `Hello` exchange entirely —
-    /// byte-for-byte the pre-v2 client, for wire-compat tests.
-    pub fn connect_with_version(addr: impl ToSocketAddrs, max_version: u32) -> Result<NetClient> {
-        let mut client = Self::connect_raw(addr)?;
-        if max_version >= 2 {
-            client.proto_version = match client.call(&Request::Hello {
-                version: max_version,
-            })? {
-                Response::Hello { version } => version.clamp(1, max_version),
-                // Admission gating: the server is shedding new
-                // sessions. Surface the typed retryable error — never
-                // silently downgrade to v1, the peer clearly speaks v2.
-                Response::Busy { cause, message } => {
-                    return Err(busy_err(cause, &message));
-                }
-                // A peer that refuses Hello still speaks v1 (e.g. a
-                // replica predating negotiation); stay unwrapped.
-                Response::Failed { .. } => 1,
-                other => {
-                    return Err(Error::Protocol(format!(
-                        "hello reply has wrong shape: {other:?}"
-                    )))
-                }
-            };
-        }
-        Ok(client)
-    }
-
-    fn connect_raw(addr: impl ToSocketAddrs) -> Result<NetClient> {
         let stream = TcpStream::connect(addr)
             .map_err(|e| Error::Protocol(format!("connect failed: {e}")))?;
         let _ = stream.set_nodelay(true);
@@ -355,33 +321,39 @@ impl NetClient {
                 reader_demux.fail(reason);
             })
             .map_err(|e| Error::Protocol(format!("spawn reader: {e}")))?;
-        Ok(NetClient {
+        let client = NetClient {
             stream,
             demux,
             reader: Some(reader),
             next_id: AtomicU64::new(1),
-            proto_version: 1,
             next_session: AtomicU64::new(1),
-        })
-    }
-
-    /// The protocol version negotiated at connect (1 when the peer
-    /// does not speak sessions).
-    pub fn protocol_version(&self) -> u32 {
-        self.proto_version
-    }
-
-    /// Open a logical session multiplexed over this connection.
-    /// Requires a v2 peer; each session gets its own server-side
-    /// ordering domain (updates within a session keep program order,
-    /// replies across sessions may overtake).
-    pub fn open_session(&self) -> Result<SessionHandle<'_>> {
-        if self.proto_version < 2 {
-            return Err(Error::Protocol(format!(
-                "peer speaks protocol v{}: session multiplexing needs v2",
-                self.proto_version
-            )));
+        };
+        match client.call(&Request::Hello {
+            version: PROTOCOL_VERSION,
+        })? {
+            Response::Hello {
+                version: PROTOCOL_VERSION,
+            } => Ok(client),
+            // Admission gating: the server is shedding new clients.
+            // Surface the typed retryable error.
+            Response::Busy { cause, message } => Err(busy_err(cause, &message)),
+            other => Err(Error::Protocol(format!(
+                "hello reply is not protocol version {PROTOCOL_VERSION}: {other:?}"
+            ))),
         }
+    }
+
+    /// The protocol version spoken on this connection: `connect`
+    /// accepts no other.
+    pub fn protocol_version(&self) -> u32 {
+        PROTOCOL_VERSION
+    }
+
+    /// Open a logical session multiplexed over this connection. Each
+    /// session gets its own server-side ordering domain (updates within
+    /// a session keep program order, replies across sessions may
+    /// overtake). Opening is local and never fails.
+    pub fn open_session(&self) -> Result<SessionHandle<'_>> {
         Ok(SessionHandle {
             client: self,
             sid: self.next_session.fetch_add(1, Ordering::Relaxed),
@@ -616,9 +588,9 @@ fn to_net_reply(resp: Response) -> Result<NetReply> {
     }
 }
 
-/// One logical session multiplexed over a [`NetClient`] connection
-/// (protocol v2). Sessions share the socket, reader thread, and
-/// request-id space; each owns its server-side submission order.
+/// One logical session multiplexed over a [`NetClient`] connection.
+/// Sessions share the socket, reader thread, and request-id space;
+/// each owns its server-side submission order.
 /// Dropping the handle is free — the server releases its session state
 /// when the connection closes.
 pub struct SessionHandle<'a> {

@@ -64,19 +64,19 @@
 //!   [`Server`](risgraph_core::server::Server) down — which drains
 //!   remaining epochs and flushes WAL *and* store.
 //!
-//! ## Session multiplexing (protocol v2)
+//! ## Session multiplexing
 //!
-//! [`NetClient::connect`] negotiates the protocol version with a
-//! `Hello` exchange; against a v2 server,
-//! [`NetClient::open_session`] yields [`SessionHandle`]s whose
-//! requests ride the same socket wrapped in a session-id frame
+//! [`NetClient::connect`] opens with a `Hello` exchange (the server's
+//! connect-time overload gate); [`NetClient::open_session`] then
+//! yields [`SessionHandle`]s whose requests ride the same socket
+//! wrapped in a session-id frame
 //! ([`Request::InSession`](risgraph_common::protocol::Request::InSession)).
 //! Server-side, each wire session id lazily maps to its own core
 //! [`Session`](risgraph_core::server::Session) — which is exactly the
 //! granularity the epoch loop orders submissions by, so per-session
 //! program order is preserved while cross-session replies may
-//! overtake. Pre-v2 peers (and the read-only replica) answer `Hello`
-//! with version 1 and the client transparently stays unwrapped.
+//! overtake. There is one protocol generation: a request needs no
+//! `Hello` to be served, wrapped or not.
 //!
 //! The `net_differential` suite proves the whole network path
 //! observably identical to in-process sessions on multiple backends
@@ -98,10 +98,15 @@
 //! stream onto any backend through the core replay path,
 //! reconnects-and-resubscribes across stream faults, and optionally
 //! serves the read-only Table 1 surface (plus its `METRICS`, lag
-//! included) at its applied watermark — answered by the same
-//! `query` function over the same versioned store type as the leader's. `tests/replication_differential.rs`
-//! proves leader ≡ follower on IA_Hash and ooc-mmap at shards 1 and 4,
-//! under injected frame faults.
+//! included) at its applied watermark. That listener is a
+//! [`NetServer`] reactor too, over the replica's versioned store: the
+//! same workers, framing, admission and query function as the
+//! leader's, with every request that needs the leader refused. A
+//! replica so runs one follower thread plus `net_workers` reactor
+//! threads, whatever its connection count.
+//! `tests/replication_differential.rs` proves leader ≡ follower on
+//! IA_Hash and ooc-mmap at shards 1 and 4, under injected frame
+//! faults.
 
 #![warn(missing_docs)]
 

@@ -1,7 +1,6 @@
-//! The wire answer to Table 1's queries, shared by the leader's reactor
-//! ([`crate::server`]) and the replica's read-only listener
-//! ([`crate::replica`]): both serve one
-//! [`Versioned`](risgraph_core::Versioned) store, so both answer
+//! The wire answer to Table 1's queries. The reactor
+//! ([`crate::server`]) serves a leader's or a replica's
+//! [`Versioned`](risgraph_core::Versioned) store, and answers both
 //! through this one function.
 
 use risgraph_common::protocol::{Request, Response, WireError, MAX_RESPONSE_FRAME};

@@ -20,32 +20,30 @@
 //!
 //! Optionally the replica itself listens ([`FollowerConfig::listen`])
 //! and serves the **read-only** Table 1 surface over the same wire
-//! protocol — `get_value` / `get_parent` / `get_modified_vertices` /
+//! protocol, on the same reactor as the leader ([`NetServer`]):
+//! `get_value` / `get_parent` / `get_modified_vertices` /
 //! `get_current_version`, answered at the applied watermark by the
 //! leader's own query function, plus `METRICS` reporting replication
-//! lag; mutating requests are refused.
-//! The replica speaks protocol v1 only: a `Hello` is answered with
-//! version 1 (the negotiation's downgrade path), and session-wrapped
-//! requests are refused without closing the connection.
+//! lag. Sessions multiplex exactly as on the leader; updates,
+//! transactions, releases and subscriptions are refused without
+//! closing the connection.
 
-use std::io::{BufReader, BufWriter, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io::BufReader;
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use risgraph_common::ids::Update;
-use risgraph_common::metrics::{Counter, Registry};
-use risgraph_common::protocol::{
-    read_frame, write_frame, Request, Response, MAX_FRAME, MAX_RESPONSE_FRAME,
-};
+use risgraph_common::metrics::{Counter, Gauge, Registry};
+use risgraph_common::protocol::{read_frame, write_frame, Request, Response, MAX_RESPONSE_FRAME};
 use risgraph_common::{Error, Result};
 use risgraph_core::engine::DynAlgorithm;
 use risgraph_core::replication::Replica;
 use risgraph_core::server::ServerConfig;
 
-use crate::query::{answer_query, failed};
+use crate::NetServer;
 
 /// Follower-side tuning.
 #[derive(Debug, Clone)]
@@ -130,8 +128,20 @@ impl FollowerStats {
     }
 }
 
-/// Registry of live read-only query connections.
-type ConnRegistry = Arc<Mutex<Vec<(JoinHandle<()>, TcpStream)>>>;
+/// The `replica.lag` / `replica.version` gauges, stored by the follower
+/// thread wherever the watermark moves.
+struct Watermarks {
+    lag: Arc<Gauge>,
+    version: Arc<Gauge>,
+}
+
+impl Watermarks {
+    fn publish(&self, replica: &Replica) {
+        self.lag.store(replica.lag(), Ordering::Relaxed);
+        self.version
+            .store(replica.current_version(), Ordering::Relaxed);
+    }
+}
 
 /// A read replica: the follower thread plus an optional read-only
 /// wire-protocol listener. See the module docs.
@@ -146,9 +156,8 @@ pub struct ReplicaServer {
     /// follower thread's read immediately.
     current: Arc<Mutex<Option<TcpStream>>>,
     follower: Option<JoinHandle<()>>,
-    listen_addr: Option<SocketAddr>,
-    accept_thread: Option<JoinHandle<()>>,
-    conns: ConnRegistry,
+    /// The reactor serving the read-only surface, when listening.
+    net: Option<NetServer>,
 }
 
 impl ReplicaServer {
@@ -175,46 +184,19 @@ impl ReplicaServer {
         )?);
         let metrics = Arc::new(Registry::new());
         let stats = Arc::new(FollowerStats::registered(&metrics));
-        // Watermark gauges, pre-registered so the listing is stable
-        // and refreshed on every `METRICS` read.
-        let _ = metrics.gauge("replica.lag");
-        let _ = metrics.gauge("replica.version");
+        let watermarks = Watermarks {
+            lag: metrics.gauge("replica.lag"),
+            version: metrics.gauge("replica.version"),
+        };
         let stop = Arc::new(AtomicBool::new(false));
         let current = Arc::new(Mutex::new(None));
-        let conns: ConnRegistry = Arc::new(Mutex::new(Vec::new()));
-
-        let mut listen_addr = None;
-        let mut accept_thread = None;
-        if let Some(listen) = &net.listen {
-            let listener = TcpListener::bind(listen)
-                .map_err(|e| Error::Protocol(format!("cannot bind {listen}: {e}")))?;
-            listen_addr = Some(
-                listener
-                    .local_addr()
-                    .map_err(|e| Error::Protocol(format!("no local addr: {e}")))?,
-            );
-            listener
-                .set_nonblocking(true)
-                .map_err(|e| Error::Protocol(format!("nonblocking listener: {e}")))?;
-            let accept_replica = Arc::clone(&replica);
-            let accept_metrics = Arc::clone(&metrics);
-            let accept_stop = Arc::clone(&stop);
-            let accept_conns = Arc::clone(&conns);
-            accept_thread = Some(
-                std::thread::Builder::new()
-                    .name("risgraph-replica-accept".into())
-                    .spawn(move || {
-                        accept_loop(
-                            listener,
-                            accept_replica,
-                            accept_metrics,
-                            accept_stop,
-                            accept_conns,
-                        )
-                    })
-                    .expect("spawn replica accept thread"),
-            );
-        }
+        let listener = net
+            .listen
+            .clone()
+            .map(|listen| {
+                NetServer::serve_replica(Arc::clone(&replica), Arc::clone(&metrics), listen)
+            })
+            .transpose()?;
 
         let f_replica = Arc::clone(&replica);
         let f_stats = Arc::clone(&stats);
@@ -222,7 +204,7 @@ impl ReplicaServer {
         let f_current = Arc::clone(&current);
         let follower = std::thread::Builder::new()
             .name("risgraph-replica-follower".into())
-            .spawn(move || follower_loop(f_replica, f_stats, f_stop, f_current, net))
+            .spawn(move || follower_loop(f_replica, f_stats, watermarks, f_stop, f_current, net))
             .expect("spawn follower thread");
 
         Ok(ReplicaServer {
@@ -232,9 +214,7 @@ impl ReplicaServer {
             stop,
             current,
             follower: Some(follower),
-            listen_addr,
-            accept_thread,
-            conns,
+            net: listener,
         })
     }
 
@@ -248,16 +228,17 @@ impl ReplicaServer {
         &self.stats
     }
 
-    /// The replica-local metrics registry (the cells behind
-    /// [`FollowerStats`] plus the `replica.lag`/`replica.version`
-    /// watermark gauges, refreshed on every `METRICS` read).
+    /// The replica-local metrics registry: the cells behind
+    /// [`FollowerStats`], the `replica.lag`/`replica.version` watermark
+    /// gauges (stored whenever the watermark moves) and, when
+    /// listening, the reactor's `net.*` metrics.
     pub fn metrics(&self) -> &Arc<Registry> {
         &self.metrics
     }
 
     /// The read-only listener's bound address, when enabled.
     pub fn local_addr(&self) -> Option<SocketAddr> {
-        self.listen_addr
+        self.net.as_ref().map(NetServer::local_addr)
     }
 
     /// Replication lag in result versions (applied watermark behind
@@ -266,13 +247,10 @@ impl ReplicaServer {
         self.replica.lag()
     }
 
-    /// Read-only query connections still registered (finished ones are
-    /// pruned on the accept loop's poll tick, so this converges to the
-    /// number of live sockets without needing a new connect).
+    /// Read-only query connections the reactor currently owns (a
+    /// closed connection leaves the count on its close event).
     pub fn live_query_connections(&self) -> usize {
-        let mut conns = self.conns.lock().unwrap();
-        prune_finished(&mut conns);
-        conns.len()
+        self.net.as_ref().map_or(0, NetServer::live_connections)
     }
 
     /// Stop following and serving, and join every thread.
@@ -291,15 +269,8 @@ impl ReplicaServer {
         if let Some(h) = self.follower.take() {
             let _ = h.join();
         }
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
-        let conns = std::mem::take(&mut *self.conns.lock().unwrap());
-        for (_, stream) in &conns {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        for (handle, _) in conns {
-            let _ = handle.join();
+        if let Some(net) = self.net.take() {
+            net.shutdown();
         }
     }
 }
@@ -316,6 +287,7 @@ impl Drop for ReplicaServer {
 fn follower_loop(
     replica: Arc<Replica>,
     stats: Arc<FollowerStats>,
+    watermarks: Watermarks,
     stop: Arc<AtomicBool>,
     current: Arc<Mutex<Option<TcpStream>>>,
     net: FollowerConfig,
@@ -369,6 +341,7 @@ fn follower_loop(
                     Ok((_, Response::WalEpoch(rec))) => match replica.apply_record(&rec) {
                         Ok(true) => {
                             stats.records_applied.fetch_add(1, Ordering::Relaxed);
+                            watermarks.publish(&replica);
                         }
                         Ok(false) => {
                             stats.duplicates_skipped.fetch_add(1, Ordering::Relaxed);
@@ -383,6 +356,7 @@ fn follower_loop(
                     },
                     Ok((_, Response::Heartbeat { records, version })) => {
                         replica.note_leader_version(version);
+                        watermarks.publish(&replica);
                         stats.heartbeats.fetch_add(1, Ordering::Relaxed);
                         // Frames are ordered: every record the leader
                         // streamed before this heartbeat has been
@@ -408,6 +382,7 @@ fn follower_loop(
                         Ok(()) => {
                             snap_buf = Vec::new();
                             stats.snapshot_bootstraps.fetch_add(1, Ordering::Relaxed);
+                            watermarks.publish(&replica);
                         }
                         // Installing on a non-fresh replica (or past
                         // the capacity ceiling) is a stream fault.
@@ -430,6 +405,7 @@ fn follower_loop(
                             match replica.reset() {
                                 Ok(()) => {
                                     stats.feed_resets.fetch_add(1, Ordering::Relaxed);
+                                    watermarks.publish(&replica);
                                     // Not a policy refusal: retry on
                                     // the fast cadence, the fresh
                                     // subscribe will be served.
@@ -487,129 +463,4 @@ fn follower_loop(
             });
         }
     }
-}
-
-/// Join-and-drop every finished connection thread in the registry.
-fn prune_finished(conns: &mut Vec<(JoinHandle<()>, TcpStream)>) {
-    let mut i = 0;
-    while i < conns.len() {
-        if conns[i].0.is_finished() {
-            let (done, stale) = conns.swap_remove(i);
-            let _ = done.join();
-            drop(stale);
-        } else {
-            i += 1;
-        }
-    }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    replica: Arc<Replica>,
-    metrics: Arc<Registry>,
-    stop: Arc<AtomicBool>,
-    conns: ConnRegistry,
-) {
-    loop {
-        let draining = stop.load(Ordering::Acquire);
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if draining {
-                    break;
-                }
-                // Prune on every poll tick, not only on new accepts:
-                // an idle listener must not retain dead fds and
-                // JoinHandles indefinitely.
-                prune_finished(&mut conns.lock().unwrap());
-                std::thread::sleep(Duration::from_millis(10));
-                continue;
-            }
-        };
-        if stream.set_nonblocking(false).is_err() {
-            continue;
-        }
-        let _ = stream.set_nodelay(true);
-        let Ok(registered) = stream.try_clone() else {
-            continue;
-        };
-        let conn_replica = Arc::clone(&replica);
-        let conn_metrics = Arc::clone(&metrics);
-        let handle = std::thread::Builder::new()
-            .name("risgraph-replica-conn".into())
-            .spawn(move || serve_queries(conn_replica, conn_metrics, stream))
-            .expect("spawn replica connection thread");
-        let mut conns = conns.lock().unwrap();
-        prune_finished(&mut conns);
-        conns.push((handle, registered));
-    }
-}
-
-/// Serve the read-only Table 1 surface on one connection: queries are
-/// answered inline at the applied watermark; anything mutating is
-/// refused without touching the replica.
-fn serve_queries(replica: Arc<Replica>, metrics: Arc<Registry>, stream: TcpStream) {
-    let write_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let _ = write_half.set_write_timeout(Some(Duration::from_secs(10)));
-    let mut w = BufWriter::new(write_half);
-    let mut r = BufReader::new(stream);
-    let versioned = replica.versioned();
-    loop {
-        let payload = match read_frame(&mut r, MAX_FRAME) {
-            Ok(Some(p)) => p,
-            Ok(None) => break,
-            Err(e) => {
-                let _ = write_frame(&mut w, &failed(versioned, &e).encode(0));
-                break;
-            }
-        };
-        let (req_id, request) = match Request::decode(&payload) {
-            Ok(x) => x,
-            Err(e) => {
-                let _ = write_frame(&mut w, &failed(versioned, &e).encode(0));
-                break;
-            }
-        };
-        let refuse = |e: Error| failed(versioned, &e).encode(req_id);
-        let payload = match request {
-            // The registry snapshot, with the watermark gauges
-            // refreshed at read time (they have no update hook — the
-            // watermarks move on every applied record).
-            Request::Metrics => {
-                metrics
-                    .gauge("replica.lag")
-                    .store(replica.lag(), Ordering::Relaxed);
-                metrics
-                    .gauge("replica.version")
-                    .store(replica.current_version(), Ordering::Relaxed);
-                Response::Metrics(metrics.snapshot()).encode(req_id)
-            }
-            // Replicas speak protocol v1: answer any Hello with
-            // version 1, exercising the negotiation's downgrade path
-            // (a v2 client falls back to unwrapped frames).
-            Request::Hello { .. } => Response::Hello { version: 1 }.encode(req_id),
-            // Session wrappers need v2; refuse them without closing —
-            // the client can retry unwrapped on the same connection.
-            Request::InSession { .. } => refuse(Error::Protocol(
-                "read-only replica speaks protocol v1: no session multiplexing".into(),
-            )),
-            // Everything mutating — and nested subscriptions — is
-            // refused: replicas are read-only and not chainable (yet;
-            // see the ROADMAP follow-ons).
-            Request::Update(_)
-            | Request::Txn(_)
-            | Request::Release(_)
-            | Request::Subscribe { .. } => refuse(Error::Protocol(
-                "read-only replica: updates must go to the leader".into(),
-            )),
-            query => answer_query(versioned, req_id, &query),
-        };
-        if write_frame(&mut w, &payload).is_err() || w.flush().is_err() {
-            break;
-        }
-    }
-    let _ = r.into_inner().shutdown(Shutdown::Both);
 }

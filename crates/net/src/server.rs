@@ -12,14 +12,19 @@
 //! owning worker's eventfd, so no thread ever parks on a reply channel.
 //! Total server threads are O(`net_workers`), not O(connections).
 //!
-//! One TCP connection can multiplex many logical sessions (protocol
-//! v2, negotiated via `Hello`): each wire session id maps to its own
-//! core [`Session`](risgraph_core::server::Session), which is exactly
-//! the granularity the epoch loop orders submissions by — per-session
+//! One TCP connection can multiplex many logical sessions: each wire
+//! session id maps to its own core
+//! [`Session`](risgraph_core::server::Session), which is exactly the
+//! granularity the epoch loop orders submissions by — per-session
 //! ordering for free, cross-session independence by construction.
 //! Replication subscribers (`SUBSCRIBE`) ride the same reactor: the
 //! worker pumps the feed into the connection's write buffer on its
 //! tick, so followers cost no dedicated threads either.
+//!
+//! The same reactor serves a read replica's read-only surface
+//! ([`crate::ReplicaServer`]): its workers answer queries from the
+//! replica's versioned store and refuse everything that needs the
+//! leader.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -39,8 +44,9 @@ use risgraph_common::protocol::{
 };
 use risgraph_common::{Error, Result};
 use risgraph_core::engine::{DynAlgorithm, Safety};
+use risgraph_core::replication::Replica;
 use risgraph_core::server::{Op, Server, ServerConfig, Session as CoreSession};
-use risgraph_core::ReplicationFeed;
+use risgraph_core::{ReplicationFeed, Versioned};
 
 use crate::query::{answer_query, failed};
 use crate::reactor::{Event, Interest, Poller, Wakeup};
@@ -85,18 +91,16 @@ pub struct NetConfig {
     /// this long is torn down (a dead coordinator can never answer the
     /// in-flight tail). Env override: `RISGRAPH_NET_REPLY_TIMEOUT_MS`.
     pub reply_timeout: Duration,
-    /// Cap on logical sessions one connection may open (protocol v2
-    /// multiplexing). Exceeding it fails the offending request; the
-    /// connection stays up.
+    /// Cap on logical sessions one connection may open. Exceeding it
+    /// fails the offending request; the connection stays up.
     pub max_sessions_per_conn: usize,
     /// Global admission budget: updates in flight across **all**
-    /// connections and workers. Once exhausted, v2 connections get a
-    /// [`Response::Busy`] shed (cheap: no session allocation, no epoch-
-    /// loop touch) while v1 connections park under TCP backpressure —
-    /// byte-compatible with the pre-admission protocol. `0` disables
-    /// the budget. Env override: `RISGRAPH_NET_INFLIGHT_BUDGET`.
+    /// connections and workers. Once exhausted, further updates are
+    /// shed with [`Response::Busy`] (cheap: no session allocation, no
+    /// epoch-loop touch). `0` disables the budget. Env override:
+    /// `RISGRAPH_NET_INFLIGHT_BUDGET`.
     pub inflight_budget: usize,
-    /// Per logical (v2) session cap on in-flight updates, keyed by the
+    /// Per logical session cap on in-flight updates, keyed by the
     /// wire session id. Exceeding it sheds that request with
     /// [`Response::Busy`] without touching the others. `0` disables
     /// the quota. Env override: `RISGRAPH_NET_SESSION_QUOTA`.
@@ -310,8 +314,11 @@ impl Admission {
     }
 }
 
-/// A TCP serving front end wrapping one [`Server`].
+/// A TCP serving front end wrapping one [`Server`] (or, inside a
+/// [`crate::ReplicaServer`], one read replica).
 pub struct NetServer {
+    /// The leader's server, shut down after the workers join; `None`
+    /// when serving a replica.
     server: Option<Arc<Server>>,
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
@@ -333,6 +340,24 @@ impl NetServer {
     /// Serve an already-running [`Server`] (e.g. one that replayed a
     /// WAL or bulk-loaded a dataset first).
     pub fn serve(server: Server, net: NetConfig) -> Result<NetServer> {
+        Self::bind(Backend::Leader(Arc::new(server)), net)
+    }
+
+    /// Serve `replica`'s read-only surface on `listen`, registering the
+    /// reactor's metrics in `metrics`.
+    pub(crate) fn serve_replica(
+        replica: Arc<Replica>,
+        metrics: Arc<Registry>,
+        listen: String,
+    ) -> Result<NetServer> {
+        let net = NetConfig {
+            listen,
+            ..NetConfig::default()
+        };
+        Self::bind(Backend::Replica(replica, metrics), net)
+    }
+
+    fn bind(backend: Backend, net: NetConfig) -> Result<NetServer> {
         let listener = TcpListener::bind(&net.listen)
             .map_err(|e| Error::Protocol(format!("cannot bind {}: {e}", net.listen)))?;
         let local_addr = listener
@@ -341,14 +366,14 @@ impl NetServer {
         listener
             .set_nonblocking(true)
             .map_err(|e| Error::Protocol(format!("nonblocking listener: {e}")))?;
-        let server = Arc::new(server);
+        let registry = backend.metrics();
         let shutdown = Arc::new(AtomicBool::new(false));
-        let admission = Arc::new(Admission::registered(server.metrics()));
+        let admission = Arc::new(Admission::registered(registry));
 
         let num_workers = net.net_workers.max(1);
         let mut workers = Vec::with_capacity(num_workers);
         for _ in 0..num_workers {
-            workers.push(Arc::new(WorkerShared::new(server.metrics())?));
+            workers.push(Arc::new(WorkerShared::new(registry)?));
         }
 
         let mut threads = Vec::with_capacity(num_workers);
@@ -360,10 +385,9 @@ impl NetServer {
             if let Some(l) = &worker_listener {
                 poller.add(l.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
             }
-            let registry = server.metrics();
             let worker = Worker {
                 ctx: Ctx {
-                    server: Arc::clone(&server),
+                    backend: backend.clone(),
                     net: net.clone(),
                     shared: Arc::clone(shared),
                     admission: Arc::clone(&admission),
@@ -394,8 +418,12 @@ impl NetServer {
             );
         }
 
+        let server = match backend {
+            Backend::Leader(server) => Some(server),
+            Backend::Replica(..) => None,
+        };
         Ok(NetServer {
-            server: Some(server),
+            server,
             local_addr,
             shutdown,
             workers,
@@ -473,10 +501,41 @@ fn reply_to_response(reply: risgraph_core::server::Reply) -> Response {
     }
 }
 
+/// What a reactor serves: the leader's whole Interactive API, or a
+/// read replica's read-only slice of it.
+#[derive(Clone)]
+enum Backend {
+    Leader(Arc<Server>),
+    /// The replica's store and its metrics registry (the reactor's
+    /// counters and gauges are registered there).
+    Replica(Arc<Replica>, Arc<Registry>),
+}
+
+impl Backend {
+    fn versioned(&self) -> &Versioned {
+        match self {
+            Backend::Leader(server) => server.versioned(),
+            Backend::Replica(replica, _) => replica.versioned(),
+        }
+    }
+
+    fn metrics(&self) -> &Arc<Registry> {
+        match self {
+            Backend::Leader(server) => server.metrics(),
+            Backend::Replica(_, metrics) => metrics,
+        }
+    }
+}
+
+/// The refusal a replica answers to everything that needs the leader.
+fn read_only() -> Error {
+    Error::Protocol("read-only replica: updates must go to the leader".into())
+}
+
 /// Everything a connection needs from its worker, owned by the worker
 /// so connection methods and `conns` map access borrow disjoint fields.
 struct Ctx {
-    server: Arc<Server>,
+    backend: Backend,
     net: NetConfig,
     shared: Arc<WorkerShared>,
     admission: Arc<Admission>,
@@ -566,9 +625,6 @@ struct Conn {
     /// accepted them (compacted lazily).
     wbuf: Vec<u8>,
     wpos: usize,
-    /// 1 until a `Hello` negotiates higher; session wrappers before
-    /// negotiation are a protocol error.
-    proto_version: u32,
     /// Wire session id → core session. Unwrapped requests use sid 0.
     sessions: FxHashMap<u64, SessState>,
     /// Updates submitted and not yet answered, across all sessions.
@@ -602,7 +658,6 @@ impl Conn {
             frames: 0,
             wbuf: Vec::new(),
             wpos: 0,
-            proto_version: 1,
             sessions: FxHashMap::default(),
             inflight: 0,
             pending: None,
@@ -635,8 +690,8 @@ impl Conn {
         let _ = write_frame(&mut self.wbuf, &payload);
     }
 
-    fn enqueue_failed(&mut self, server: &Server, req_id: u64, e: &Error) {
-        self.enqueue(failed(server.versioned(), e).encode(req_id));
+    fn enqueue_failed(&mut self, ctx: &Ctx, req_id: u64, e: &Error) {
+        self.enqueue(failed(ctx.backend.versioned(), e).encode(req_id));
     }
 
     /// Stop consuming the byte stream but keep the connection up for
@@ -756,18 +811,22 @@ impl Conn {
         Ok(Some(payload))
     }
 
-    /// Look up or lazily create the core session behind a wire sid.
+    /// Look up or lazily create the core session behind a wire sid (a
+    /// replica has none to create).
     fn session_core(&mut self, ctx: &Ctx, sid: u64) -> Result<Arc<CoreSession>> {
         if let Some(st) = self.sessions.get(&sid) {
             return Ok(Arc::clone(&st.core));
         }
+        let Backend::Leader(server) = &ctx.backend else {
+            return Err(read_only());
+        };
         if self.sessions.len() >= ctx.net.max_sessions_per_conn.max(1) {
             return Err(Error::Protocol(format!(
                 "session limit reached ({} logical sessions on one connection)",
                 ctx.net.max_sessions_per_conn.max(1)
             )));
         }
-        let core = Arc::new(ctx.server.session());
+        let core = Arc::new(server.session());
         let queued = Arc::new(AtomicBool::new(false));
         let shared = Arc::clone(&ctx.shared);
         let q = Arc::clone(&queued);
@@ -814,18 +873,17 @@ impl Conn {
         }
     }
 
-    /// Shed one request with a [`Response::Busy`] — the v2-only cheap
-    /// reject: encoded straight from the reader path, no session
-    /// allocated, the epoch loop never touched.
+    /// Shed one request with a [`Response::Busy`] — the cheap reject:
+    /// encoded straight from the reader path, no session allocated, the
+    /// epoch loop never touched.
     fn shed(&mut self, req_id: u64, cause: BusyCause, message: String) {
         self.enqueue(Response::Busy { cause, message }.encode(req_id));
     }
 
-    /// Submit an update op, shed it (v2 over an admission limit), or
-    /// park it (window full, or a v1 connection over the global
-    /// budget). Returns `false` when frame processing must stop: the op
-    /// was parked, or the submit failed and closed the read side
-    /// (*either* of `read_closed` / `dead` stops the parser).
+    /// Submit an update op, shed it (over an admission limit), or park
+    /// it (window full). Returns `false` when frame processing must
+    /// stop: the op was parked, or the submit failed and closed the
+    /// read side (*either* of `read_closed` / `dead` stops the parser).
     fn submit_or_park(&mut self, ctx: &Ctx, req_id: u64, sid: u64, op: Op) -> bool {
         if self.inflight >= ctx.net.window.max(1) {
             self.pending = Some(PendingOp { req_id, sid, op });
@@ -836,10 +894,7 @@ impl Conn {
         // else. Order: per-session quota (no global effect) first,
         // then the global budget reservation.
         let quota = ctx.net.session_quota;
-        if quota != 0
-            && self.proto_version >= 2
-            && self.sessions.get(&sid).is_some_and(|s| s.inflight >= quota)
-        {
+        if quota != 0 && self.sessions.get(&sid).is_some_and(|s| s.inflight >= quota) {
             ctx.admission.shed_quota.fetch_add(1, Ordering::Relaxed);
             self.shed(
                 req_id,
@@ -849,23 +904,16 @@ impl Conn {
             return true;
         }
         if !ctx.admission.try_acquire(ctx.net.inflight_budget) {
-            if self.proto_version >= 2 {
-                ctx.admission.shed_budget.fetch_add(1, Ordering::Relaxed);
-                self.shed(
-                    req_id,
-                    BusyCause::InflightBudget,
-                    format!(
-                        "global in-flight budget ({}) exhausted",
-                        ctx.net.inflight_budget
-                    ),
-                );
-                return true;
-            }
-            // v1 keeps the pre-admission wire behavior byte-for-byte:
-            // park and let TCP backpressure reach the client; the
-            // worker's housekeeping tick retries once budget frees.
-            self.pending = Some(PendingOp { req_id, sid, op });
-            return false;
+            ctx.admission.shed_budget.fetch_add(1, Ordering::Relaxed);
+            self.shed(
+                req_id,
+                BusyCause::InflightBudget,
+                format!(
+                    "global in-flight budget ({}) exhausted",
+                    ctx.net.inflight_budget
+                ),
+            );
+            return true;
         }
         self.submit(ctx, req_id, sid, op);
         !(self.read_closed || self.dead)
@@ -880,14 +928,14 @@ impl Conn {
                 // Over the session cap: fail this request, keep the
                 // connection (its other sessions are healthy).
                 ctx.admission.release(1);
-                self.enqueue_failed(&ctx.server, req_id, &e);
+                self.enqueue_failed(ctx, req_id, &e);
                 return;
             }
         };
         if let Err(e) = core.submit_op_tagged(op, req_id) {
             // The coordinator is gone (shutdown): report and drain.
             ctx.admission.release(1);
-            self.enqueue_failed(&ctx.server, req_id, &e);
+            self.enqueue_failed(ctx, req_id, &e);
             self.begin_close();
         } else {
             self.inflight += 1;
@@ -910,9 +958,9 @@ impl Conn {
                 return;
             }
             if let Some(p) = self.pending.take() {
-                // Re-run the full admission gate: the park may have
-                // been window pressure or (v1) an exhausted global
-                // budget, and either may still hold.
+                // Re-run the full admission gate: the window may
+                // still be full, and a parked op holds no budget slot
+                // yet.
                 if !self.submit_or_park(ctx, p.req_id, p.sid, p.op) {
                     return;
                 }
@@ -929,7 +977,7 @@ impl Conn {
                     if self.read_closed && self.rpos < self.rend {
                         // EOF with a partial frame left over.
                         self.enqueue_failed(
-                            &ctx.server,
+                            ctx,
                             0,
                             &Error::Protocol("torn frame at connection end".into()),
                         );
@@ -941,7 +989,7 @@ impl Conn {
                     // Malformed framing: the byte stream can no longer
                     // be trusted — report (best-effort, request id 0),
                     // then drain and close.
-                    self.enqueue_failed(&ctx.server, 0, &e);
+                    self.enqueue_failed(ctx, 0, &e);
                     self.begin_close();
                     return;
                 }
@@ -949,7 +997,7 @@ impl Conn {
             let (req_id, request) = match Request::decode(&payload) {
                 Ok(x) => x,
                 Err(e) => {
-                    self.enqueue_failed(&ctx.server, 0, &e);
+                    self.enqueue_failed(ctx, 0, &e);
                     self.begin_close();
                     return;
                 }
@@ -965,30 +1013,16 @@ impl Conn {
     /// connection closing).
     fn dispatch(&mut self, ctx: &Ctx, req_id: u64, request: Request) -> bool {
         let (sid, request) = match request {
-            Request::InSession { sid, req } => {
-                if self.proto_version < 2 {
-                    self.enqueue_failed(
-                        &ctx.server,
-                        0,
-                        &Error::Protocol(
-                            "session wrapper before version negotiation (send Hello first)".into(),
-                        ),
-                    );
-                    self.begin_close();
-                    return false;
-                }
-                (sid, *req)
-            }
+            Request::InSession { sid, req } => (sid, *req),
             other => (0, other),
         };
         match request {
-            Request::Hello { version } => {
-                let negotiated = version.clamp(1, PROTOCOL_VERSION);
-                // HELLO gating: a new session arriving while this
-                // worker is over its high-water mark is turned away
-                // before any state is allocated. The peer announced
-                // v2 by sending Hello at all, so Busy is safe to send.
-                if negotiated >= 2 && ctx.over_high_water() {
+            // HELLO gating: a new client arriving while this worker is
+            // over its high-water mark is turned away before any state
+            // is allocated. There is one protocol generation, so every
+            // Hello is answered with it.
+            Request::Hello { .. } => {
+                if ctx.over_high_water() {
                     ctx.admission.shed_overload.fetch_add(1, Ordering::Relaxed);
                     self.shed(
                         req_id,
@@ -998,10 +1032,9 @@ impl Conn {
                     self.begin_close();
                     return false;
                 }
-                self.proto_version = negotiated;
                 self.enqueue(
                     Response::Hello {
-                        version: negotiated,
+                        version: PROTOCOL_VERSION,
                     }
                     .encode(req_id),
                 );
@@ -1010,11 +1043,7 @@ impl Conn {
             // Nested wrappers are rejected at decode; this arm is for
             // exhaustiveness only.
             Request::InSession { .. } => {
-                self.enqueue_failed(
-                    &ctx.server,
-                    0,
-                    &Error::Protocol("nested session wrapper".into()),
-                );
+                self.enqueue_failed(ctx, 0, &Error::Protocol("nested session wrapper".into()));
                 self.begin_close();
                 false
             }
@@ -1025,17 +1054,24 @@ impl Conn {
             // Queries: answered inline (they read a versioned snapshot,
             // so they need not wait behind in-flight updates — that is
             // the out-of-order completion the request ids exist for).
-            // A versioned read opens its session first: the session's
-            // release floor is what pins the versions it reads.
+            // A leader's versioned read opens its session first: the
+            // session's release floor is what pins the versions it
+            // reads. A replica has no sessions and reads at once.
             Request::GetValue { .. } | Request::GetParent { .. } | Request::GetModified { .. } => {
-                match self.session_core(ctx, sid) {
-                    Ok(_) => self.enqueue(answer_query(ctx.server.versioned(), req_id, &request)),
-                    Err(e) => self.enqueue_failed(&ctx.server, req_id, &e),
+                let versioned = match &ctx.backend {
+                    Backend::Leader(server) => {
+                        self.session_core(ctx, sid).map(|_| server.versioned())
+                    }
+                    Backend::Replica(replica, _) => Ok(replica.versioned()),
+                };
+                match versioned {
+                    Ok(versioned) => self.enqueue(answer_query(versioned, req_id, &request)),
+                    Err(e) => self.enqueue_failed(ctx, req_id, &e),
                 }
                 true
             }
             Request::CurrentVersion => {
-                self.enqueue(answer_query(ctx.server.versioned(), req_id, &request));
+                self.enqueue(answer_query(ctx.backend.versioned(), req_id, &request));
                 true
             }
             Request::Release(version) => {
@@ -1044,7 +1080,7 @@ impl Conn {
                         core.release_history(version);
                         self.enqueue(Response::Released.encode(req_id));
                     }
-                    Err(e) => self.enqueue_failed(&ctx.server, req_id, &e),
+                    Err(e) => self.enqueue_failed(ctx, req_id, &e),
                 }
                 true
             }
@@ -1053,7 +1089,7 @@ impl Conn {
             // so new metrics never break old clients (unknown entries
             // are skipped by the decoder, not fatal).
             Request::Metrics => {
-                self.enqueue(Response::Metrics(ctx.server.metrics().snapshot()).encode(req_id));
+                self.enqueue(Response::Metrics(ctx.backend.metrics().snapshot()).encode(req_id));
                 true
             }
             // Replication: flip this connection into a one-way feed
@@ -1063,7 +1099,7 @@ impl Conn {
                     // A subscription owns the whole connection; it
                     // cannot ride one multiplexed session among many.
                     self.enqueue_failed(
-                        &ctx.server,
+                        ctx,
                         req_id,
                         &Error::Protocol(
                             "subscribe cannot be wrapped in a multiplexed session".into(),
@@ -1079,9 +1115,13 @@ impl Conn {
     /// Validate and register a subscription; on success the connection
     /// stops parsing requests and the feed pump takes over.
     fn start_subscribe(&mut self, ctx: &Ctx, req_id: u64, from: u64) -> bool {
-        let Some(feed) = ctx.server.feed() else {
+        let Backend::Leader(server) = &ctx.backend else {
+            self.enqueue_failed(ctx, req_id, &read_only());
+            return true;
+        };
+        let Some(feed) = server.feed() else {
             self.enqueue_failed(
-                &ctx.server,
+                ctx,
                 req_id,
                 &Error::Protocol("replication disabled on this server (max_followers = 0)".into()),
             );
@@ -1089,7 +1129,7 @@ impl Conn {
         };
         if from > feed.len() {
             self.enqueue_failed(
-                &ctx.server,
+                ctx,
                 req_id,
                 &Error::Protocol(format!(
                     "subscribe offset {from} beyond the feed ({} records)",
@@ -1100,7 +1140,7 @@ impl Conn {
         }
         let Some(slot) = feed.try_register(from) else {
             self.enqueue_failed(
-                &ctx.server,
+                ctx,
                 req_id,
                 &Error::Protocol(format!(
                     "follower limit reached ({} slots)",
@@ -1133,7 +1173,7 @@ impl Conn {
                 let floor = sub.feed.base();
                 sub.feed.unregister(sub.slot);
                 self.enqueue_failed(
-                    &ctx.server,
+                    ctx,
                     req_id,
                     &Error::FeedTruncated {
                         requested: from,
@@ -1142,11 +1182,11 @@ impl Conn {
                 );
                 return true;
             }
-            let Some((updates, resume_index, resume_version)) = ctx.server.snapshot_for_bootstrap()
+            let Some((updates, resume_index, resume_version)) = server.snapshot_for_bootstrap()
             else {
                 sub.feed.unregister(sub.slot);
                 self.enqueue_failed(
-                    &ctx.server,
+                    ctx,
                     req_id,
                     &Error::Protocol(
                         "feed retention advanced past the requested offset but no checkpoint \
@@ -1205,15 +1245,15 @@ impl Conn {
                 return;
             }
         }
-        let beat = |server: &Server, next: u64| Response::Heartbeat {
+        let beat = |next: u64| Response::Heartbeat {
             records: next,
-            version: server.current_version(),
+            version: ctx.backend.versioned().current_version(),
         };
         if !sub.acked {
             // Subscribe acknowledgement: an immediate heartbeat tells
             // the follower where the stream stands before any record
             // arrives.
-            self.enqueue(beat(&ctx.server, sub.next).encode(sub.sub_id));
+            self.enqueue(beat(sub.next).encode(sub.sub_id));
             sub.last_beat = Instant::now();
             sub.acked = true;
         }
@@ -1229,7 +1269,7 @@ impl Conn {
             sub.feed.set_watermark(sub.slot, sub.next);
         }
         if sub.last_beat.elapsed() >= ctx.net.heartbeat_interval {
-            self.enqueue(beat(&ctx.server, sub.next).encode(sub.sub_id));
+            self.enqueue(beat(sub.next).encode(sub.sub_id));
             sub.last_beat = Instant::now();
         }
         self.sub = Some(sub);
@@ -1352,7 +1392,7 @@ impl Conn {
         self.pending = None;
         self.begin_close();
         self.enqueue_failed(
-            &ctx.server,
+            ctx,
             0,
             &Error::Busy(format!("connection evicted: {detail}")),
         );
@@ -1556,7 +1596,7 @@ impl Worker {
                 .shed_overload
                 .fetch_add(1, Ordering::Relaxed);
             let notice = failed(
-                self.ctx.server.versioned(),
+                self.ctx.backend.versioned(),
                 &Error::Busy("serving tier over its high-water mark; retry after backoff".into()),
             )
             .encode(0);
@@ -1624,10 +1664,12 @@ impl Worker {
                 conn.service(&self.ctx);
             }
         }
-        self.ctx
-            .server
-            .tracer()
-            .note_phase(Phase::ReactorDrain, t_drain.elapsed().as_nanos() as u64);
+        // Only a leader has sessions, so only a leader gets here.
+        if let Backend::Leader(server) = &self.ctx.backend {
+            server
+                .tracer()
+                .note_phase(Phase::ReactorDrain, t_drain.elapsed().as_nanos() as u64);
+        }
     }
 
     /// Refresh this worker's occupancy gauges (one tick's staleness at

@@ -68,7 +68,8 @@ fn thread_count() -> usize {
         .unwrap()
 }
 
-/// A raw v1 client: connect and exchange one CurrentVersion call.
+/// A raw client that skips `Hello`: connect and exchange one
+/// CurrentVersion call.
 fn open_and_probe(addr: SocketAddr) -> TcpStream {
     let mut s = TcpStream::connect(addr).unwrap();
     s.set_nodelay(true).ok();

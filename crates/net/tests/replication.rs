@@ -240,6 +240,20 @@ fn replica_listener_serves_reads_and_refuses_writes() {
         Ok(_) => panic!("replica accepted a write"),
     }
     assert_eq!(ro.current_version().unwrap(), last, "connection still live");
+    // So are a history release and a chained subscription: both need
+    // the leader.
+    let e = ro.release_history(last).unwrap_err();
+    assert!(e.to_string().contains("read-only replica"), "{e}");
+    assert_eq!(ro.current_version().unwrap(), last, "connection still live");
+    let id = ro.send(&Request::Subscribe { from: 0 }).unwrap();
+    match ro.wait(id).unwrap() {
+        Response::Failed { error, .. } => {
+            let msg = error.to_error().to_string();
+            assert!(msg.contains("read-only replica"), "{msg}");
+        }
+        other => panic!("replica accepted a subscription: {other:?}"),
+    }
+    assert_eq!(ro.current_version().unwrap(), last, "connection still live");
     drop(ro);
     drop(client);
     replica.shutdown();

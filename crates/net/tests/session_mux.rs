@@ -1,16 +1,19 @@
-//! Session multiplexing over one connection (protocol v2): version
-//! negotiation and its downgrade paths, per-session ordering with
-//! cross-session independence, the session cap, the
-//! wrapped-frame-before-Hello protocol error, and the
-//! connection-registry regression (gauges shrink with no new
-//! connects) on both the reactor server and the replica listener.
+//! Session multiplexing over one connection: the `Hello` exchange (one
+//! protocol version, whatever the client announces), per-session
+//! ordering with cross-session independence, the session cap, wrapped
+//! frames served without a `Hello`, and the connection-count
+//! regression (gauges shrink with no new connects) on both the leader
+//! and the replica listener — the same reactor in both roles.
 
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use risgraph_algorithms::Bfs;
 use risgraph_common::ids::{Edge, Update};
-use risgraph_common::protocol::{Request, PROTOCOL_VERSION};
+use risgraph_common::protocol::{
+    read_frame, write_frame, Request, Response, MAX_RESPONSE_FRAME, PROTOCOL_VERSION,
+};
 use risgraph_core::engine::DynAlgorithm;
 use risgraph_core::server::ServerConfig;
 use risgraph_net::{FollowerConfig, NetClient, NetConfig, NetServer, ReplicaServer};
@@ -42,24 +45,43 @@ fn eventually(secs: u64, mut cond: impl FnMut() -> bool) -> bool {
     false
 }
 
+/// Send one request frame on a raw socket and read one response.
+fn raw_call(stream: &TcpStream, req_id: u64, req: &Request) -> (u64, Response) {
+    write_frame(&mut &*stream, &req.encode(req_id)).unwrap();
+    let payload = read_frame(&mut &*stream, MAX_RESPONSE_FRAME)
+        .unwrap()
+        .expect("response frame");
+    Response::decode(&payload).unwrap()
+}
+
+fn raw_connect(addr: SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream
+}
+
 #[test]
 fn connect_negotiates_v2_and_excess_versions_clamp() {
     let srv = start(16, NetConfig::default());
     let c = NetClient::connect(srv.local_addr()).unwrap();
     assert_eq!(c.protocol_version(), PROTOCOL_VERSION);
 
-    // Offering a future version clamps to what the server speaks.
-    let c99 = NetClient::connect_with_version(srv.local_addr(), 99).unwrap();
-    assert_eq!(c99.protocol_version(), PROTOCOL_VERSION);
-
-    // Capping ourselves at v1 skips negotiation; sessions are refused
-    // locally.
-    let c1 = NetClient::connect_with_version(srv.local_addr(), 1).unwrap();
-    assert_eq!(c1.protocol_version(), 1);
-    let err = c1.open_session().unwrap_err().to_string();
-    assert!(err.contains("v2"), "unexpected error: {err}");
-    // ... and the v1 surface still works on the same connection.
-    c1.ins_edge(Edge::new(0, 1, 0)).unwrap().outcome.unwrap();
+    // Whatever version a Hello announces, older or newer, the answer is
+    // the one version the server speaks.
+    for (req_id, version) in [(1, 1), (2, 99)] {
+        let raw = raw_connect(srv.local_addr());
+        let (id, resp) = raw_call(&raw, req_id, &Request::Hello { version });
+        assert_eq!(id, req_id);
+        assert!(
+            matches!(resp, Response::Hello { version: v } if v == PROTOCOL_VERSION),
+            "Hello {{ version: {version} }} answered {resp:?}"
+        );
+        // ... and the connection serves requests after it.
+        let (_, resp) = raw_call(&raw, 10, &Request::CurrentVersion);
+        assert!(matches!(resp, Response::Version(_)), "{resp:?}");
+    }
 }
 
 #[test]
@@ -184,24 +206,41 @@ fn session_cap_fails_request_but_keeps_connection() {
 }
 
 #[test]
-fn wrapped_frame_before_negotiation_is_a_protocol_error() {
+fn wrapped_frame_without_hello_is_answered() {
     let srv = start(16, NetConfig::default());
-    // A client that never sent Hello but emits a session wrapper: the
-    // server cannot attribute sessions pre-negotiation, so the
-    // connection is drain-closed with the id-0 error report.
-    let c = NetClient::connect_with_version(srv.local_addr(), 1).unwrap();
-    let id = c
-        .send(&Request::InSession {
-            sid: 7,
-            req: Box::new(Request::CurrentVersion),
-        })
-        .unwrap();
-    let err = c.wait(id).unwrap_err().to_string();
-    assert!(
-        err.contains("negotiation") || err.contains("closed"),
-        "unexpected error: {err}"
+    // A client that never sent Hello emits session wrappers: they are
+    // served like any other request, and the connection stays up.
+    let raw = raw_connect(srv.local_addr());
+    let wrapped = |req: Request| Request::InSession {
+        sid: 7,
+        req: Box::new(req),
+    };
+    let (id, resp) = raw_call(
+        &raw,
+        1,
+        &wrapped(Request::Update(Update::InsEdge(Edge::new(0, 1, 0)))),
     );
-    assert!(eventually(5, || srv.live_connections() == 0));
+    assert_eq!(id, 1);
+    let Response::Applied { version, .. } = resp else {
+        panic!("wrapped update without Hello: {resp:?}");
+    };
+    let (id, resp) = raw_call(
+        &raw,
+        2,
+        &wrapped(Request::GetValue {
+            algo: 0,
+            version,
+            vertex: 1,
+        }),
+    );
+    assert_eq!(id, 2);
+    assert!(matches!(resp, Response::Value(1)), "{resp:?}");
+    let (_, resp) = raw_call(&raw, 3, &Request::CurrentVersion);
+    assert!(
+        matches!(resp, Response::Version(v) if v == version),
+        "{resp:?}"
+    );
+    assert_eq!(srv.live_connections(), 1, "the connection stays up");
 }
 
 #[test]
@@ -251,17 +290,18 @@ fn connection_gauge_shrinks_without_new_connects() {
     );
 }
 
-/// The registry-leak regression (replica side) plus the negotiation
-/// downgrade path: the replica answers Hello with v1, refuses session
-/// wrappers without closing, and prunes finished query connections on
-/// its poll tick — no new connect needed.
+/// The registry-leak regression (replica side): the replica's listener
+/// is the leader's reactor, so it speaks the one protocol version,
+/// serves session-wrapped reads exactly like unwrapped ones, and drops
+/// closed connections from its count with no new connect needed.
 #[test]
-fn replica_downgrades_to_v1_and_prunes_idle_registry() {
+fn replica_speaks_sessions_and_prunes_idle_connections() {
     let mut leader_cfg = config();
     leader_cfg.max_followers = 1;
     let leader = NetServer::start(bfs(), 64, leader_cfg, NetConfig::default()).unwrap();
     let lc = NetClient::connect(leader.local_addr()).unwrap();
     lc.ins_edge(Edge::new(0, 1, 0)).unwrap().outcome.unwrap();
+    let last = lc.ins_edge(Edge::new(1, 2, 0)).unwrap().version;
 
     let replica = ReplicaServer::start(
         bfs(),
@@ -274,26 +314,32 @@ fn replica_downgrades_to_v1_and_prunes_idle_registry() {
     )
     .unwrap();
     let addr = replica.local_addr().unwrap();
+    assert!(
+        eventually(10, || replica.replica().current_version() == last),
+        "replica never caught up to version {last}"
+    );
 
-    // Downgrade: the replica answers Hello with version 1, so the
-    // client transparently stays unwrapped...
     let rc = NetClient::connect(addr).unwrap();
-    assert_eq!(rc.protocol_version(), 1);
-    assert!(rc.open_session().is_err());
-    // ... and a forced session wrapper is refused per-request, keeping
-    // the connection alive.
-    let id = rc
-        .send(&Request::InSession {
-            sid: 1,
-            req: Box::new(Request::CurrentVersion),
-        })
-        .unwrap();
-    let shown = format!("{:?}", rc.wait(id).unwrap());
-    assert!(shown.contains("Failed"), "expected refusal, got {shown}");
-    rc.current_version().unwrap();
+    assert_eq!(rc.protocol_version(), PROTOCOL_VERSION);
+    let s = rc.open_session().unwrap();
+    // Reads wrapped in a session equal unwrapped reads.
+    for v in 0..4u64 {
+        assert_eq!(
+            s.get_value(0, last, v).unwrap(),
+            rc.get_value(0, last, v).unwrap()
+        );
+        assert_eq!(
+            s.get_parent(0, last, v).unwrap(),
+            rc.get_parent(0, last, v).unwrap()
+        );
+    }
+    assert_eq!(s.get_value(0, last, 2).unwrap(), 2);
+    assert_eq!(
+        s.get_modified_vertices(0, last).unwrap(),
+        rc.get_modified_vertices(0, last).unwrap()
+    );
 
-    // Registry regression: extra connections leave the registry after
-    // dropping, with no further accepts.
+    // Closed connections leave the count with no further accepts.
     let extra: Vec<NetClient> = (0..2).map(|_| NetClient::connect(addr).unwrap()).collect();
     for c in &extra {
         c.current_version().unwrap();
@@ -303,7 +349,7 @@ fn replica_downgrades_to_v1_and_prunes_idle_registry() {
     drop(rc);
     assert!(
         eventually(5, || replica.live_query_connections() == 0),
-        "replica registry stuck at {}",
+        "replica connection count stuck at {}",
         replica.live_query_connections()
     );
 

@@ -268,7 +268,7 @@ const DELETING: u32 = 1 << 31;
 /// Reservation protocol: an edge insertion [`VertexTable::pin`]s both
 /// endpoints for the duration of the structural mutation (a counter in
 /// the low bits of the guard word); [`VertexTable::remove_isolated`]
-/// sets the [`DELETING`] bit, waits for in-flight pins to drain, runs
+/// sets the `DELETING` bit, waits for in-flight pins to drain, runs
 /// the backend's isolation check, and only then removes the vertex.
 /// Pins spin while the bit is set, so an insert can never revive or
 /// re-edge a vertex between its isolation check and its removal.

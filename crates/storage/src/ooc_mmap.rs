@@ -7,7 +7,7 @@
 //! `(neighbour, weight, count)` records, so update semantics (duplicate
 //! counting, tombstoning) match the in-memory stores exactly.
 //!
-//! * **Per-vertex lock striping.** Each direction has [`STRIPES`]
+//! * **Per-vertex lock striping.** Each direction has `STRIPES`
 //!   `RwLock` stripes over the per-vertex chain directories; a block
 //!   belongs to exactly one `(vertex, direction)` chain, so holding the
 //!   owning stripe lock grants exclusive access to its bytes and

@@ -1,8 +1,7 @@
-//! Server-side admission control: the serving tier sheds protocol-v2
-//! requests with a `Busy` wire error instead of queueing unboundedly —
-//! exactly at global-budget / per-session-quota exhaustion and never
-//! below it — while v1 connections keep the pre-admission byte
-//! behavior (TCP backpressure, never a Busy frame). Shed requests are
+//! Server-side admission control: the serving tier sheds requests with
+//! a `Busy` wire error instead of queueing unboundedly — exactly at
+//! global-budget / per-session-quota exhaustion and never below it,
+//! whether or not the connection opened with `Hello`. Shed requests are
 //! cheap: no session allocated, the epoch loop untouched. Slow readers
 //! ride the existing `send_timeout` clock into a *counted* eviction
 //! that carries a best-effort connection-level notice.
@@ -139,58 +138,61 @@ fn split_outcomes(responses: &[(u64, Response)], expect_cause: BusyCause) -> (Ve
 /// admits exactly the first 4 and sheds exactly the rest —
 /// `Busy(inflight-budget)` at exhaustion, never below it. Once the
 /// admitted replies land the budget frees and a later update is
-/// admitted again.
+/// admitted again. A connection that never sent `Hello` gets the same
+/// session-wrapped service and the same `Busy` frames.
 #[test]
 fn v2_burst_sheds_exactly_at_global_budget() {
     const BUDGET: usize = 4;
     const BURST: u64 = 32;
-    let srv = loopback_net_server_with(
-        bfs(),
-        1 << 12,
-        server_config(BackendKind::IaHash, 1),
-        net_config(BUDGET, 0),
-    );
-    let mut c = RawClient::connect(srv.local_addr(), Some(2));
+    for hello in [Some(2), None] {
+        let srv = loopback_net_server_with(
+            bfs(),
+            1 << 12,
+            server_config(BackendKind::IaHash, 1),
+            net_config(BUDGET, 0),
+        );
+        let mut c = RawClient::connect(srv.local_addr(), hello);
 
-    let frames: Vec<Vec<u8>> = (0..BURST)
-        .map(|i| update_frame(10 + i, 1, i, i + 1))
-        .collect();
-    c.send_batch(&frames);
-    let responses = c.read_responses(BURST as usize);
-    let (applied, shed) = split_outcomes(&responses, BusyCause::InflightBudget);
-    assert_eq!(
-        applied,
-        (10..10 + BUDGET as u64).collect::<Vec<_>>(),
-        "exactly the first {BUDGET} frames of the batch hold the budget"
-    );
-    assert_eq!(
-        shed.len(),
-        (BURST as usize) - BUDGET,
-        "everything else sheds"
-    );
+        let frames: Vec<Vec<u8>> = (0..BURST)
+            .map(|i| update_frame(10 + i, 1, i, i + 1))
+            .collect();
+        c.send_batch(&frames);
+        let responses = c.read_responses(BURST as usize);
+        let (applied, shed) = split_outcomes(&responses, BusyCause::InflightBudget);
+        assert_eq!(
+            applied,
+            (10..10 + BUDGET as u64).collect::<Vec<_>>(),
+            "exactly the first {BUDGET} frames of the batch hold the budget (hello {hello:?})"
+        );
+        assert_eq!(
+            shed.len(),
+            (BURST as usize) - BUDGET,
+            "everything else sheds (hello {hello:?})"
+        );
 
-    let registry = srv.server().metrics();
-    assert_eq!(
-        registry
-            .counter("net.admission.shed_budget")
-            .load(Ordering::Relaxed),
-        shed.len() as u64
-    );
-    // The replies we already read mean the budget has drained: the
-    // occupancy gauge returns to zero and a fresh update is admitted —
-    // shedding never outlives the overload.
-    let occupancy = registry.gauge("net.admission.inflight");
-    assert!(
-        eventually(5, || occupancy.load(Ordering::Relaxed) == 0),
-        "budget occupancy stuck at {}",
-        occupancy.load(Ordering::Relaxed)
-    );
-    c.send_batch(&[update_frame(100, 1, 200, 201)]);
-    let (_, resp) = c.read_response();
-    assert!(
-        matches!(resp, Response::Applied { .. }),
-        "an idle server must admit: {resp:?}"
-    );
+        let registry = srv.server().metrics();
+        assert_eq!(
+            registry
+                .counter("net.admission.shed_budget")
+                .load(Ordering::Relaxed),
+            shed.len() as u64
+        );
+        // The replies we already read mean the budget has drained: the
+        // occupancy gauge returns to zero and a fresh update is
+        // admitted — shedding never outlives the overload.
+        let occupancy = registry.gauge("net.admission.inflight");
+        assert!(
+            eventually(5, || occupancy.load(Ordering::Relaxed) == 0),
+            "budget occupancy stuck at {}",
+            occupancy.load(Ordering::Relaxed)
+        );
+        c.send_batch(&[update_frame(100, 1, 200, 201)]);
+        let (_, resp) = c.read_response();
+        assert!(
+            matches!(resp, Response::Applied { .. }),
+            "an idle server must admit: {resp:?}"
+        );
+    }
 }
 
 /// Per-session quota: with quota 2, a one-batch interleaving of six
@@ -272,42 +274,6 @@ fn shed_requests_allocate_no_session() {
         eventually(5, || sessions.load(Ordering::Relaxed) == 1),
         "shed requests must not allocate sessions (gauge {})",
         sessions.load(Ordering::Relaxed)
-    );
-}
-
-/// A protocol-v1 connection never receives a Busy frame no matter how
-/// hard admission is squeezed: over an exhausted budget its updates
-/// *park* under TCP backpressure (the pre-admission wire behavior,
-/// byte for byte) and every one of them is eventually applied.
-#[test]
-fn v1_connections_park_and_never_see_busy() {
-    const BURST: u64 = 32;
-    let srv = loopback_net_server_with(
-        bfs(),
-        1 << 12,
-        server_config(BackendKind::IaHash, 1),
-        net_config(1, 0),
-    );
-    // No Hello: the connection stays v1 and unwrapped.
-    let mut c = RawClient::connect(srv.local_addr(), None);
-    let frames: Vec<Vec<u8>> = (0..BURST)
-        .map(|i| Request::Update(Update::InsEdge(Edge::new(i, i + 1, 1))).encode(10 + i))
-        .collect();
-    c.send_batch(&frames);
-    let responses = c.read_responses(BURST as usize);
-    for (req_id, resp) in &responses {
-        assert!(
-            matches!(resp, Response::Applied { .. }),
-            "v1 request {req_id} must be applied, never shed: {resp:?}"
-        );
-    }
-    assert_eq!(
-        srv.server()
-            .metrics()
-            .counter("net.admission.shed_budget")
-            .load(Ordering::Relaxed),
-        0,
-        "a v1-only workload must shed nothing"
     );
 }
 

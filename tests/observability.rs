@@ -264,6 +264,46 @@ fn replica_serves_follower_stats_over_metrics() {
     net.shutdown();
 }
 
+/// A follower's watermark gauges move with the watermark, not with a
+/// wire read: a replica with no listener (so nobody ever asks it for
+/// `METRICS`) that has caught up reports the leader's version and zero
+/// lag from its own registry — what `--metrics-listen` exposes.
+#[test]
+fn follower_watermark_gauges_move_without_a_listener() {
+    let (net, capacity) = loaded_server();
+    let follower = ReplicaServer::start(
+        wcc_algorithms(),
+        capacity,
+        server_config(BackendKind::IaHash, 1),
+        FollowerConfig::to_leader(net.local_addr().to_string()),
+    )
+    .expect("follower");
+    assert!(follower.local_addr().is_none());
+
+    let leader_version = net.server().current_version();
+    assert!(leader_version > 0);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let snap = follower.metrics().snapshot();
+        let (version, lag) = (gauge(&snap, "replica.version"), gauge(&snap, "replica.lag"));
+        if version == Some(leader_version) && lag == Some(0) {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "watermark gauges read version {version:?} lag {lag:?}; the replica is at \
+             version {} lag {}, the leader at {leader_version}",
+            follower.replica().current_version(),
+            follower.lag()
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(follower.replica().current_version(), leader_version);
+
+    follower.shutdown();
+    net.shutdown();
+}
+
 /// The history footprint is visible from the running process: the
 /// `core.history.resident_*` gauges rise under unsafe traffic and fall
 /// once the session releases its versions and a GC tick has run.
