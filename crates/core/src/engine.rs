@@ -181,7 +181,7 @@ struct CoreState<G: DynamicGraph> {
 /// [`risgraph_storage::AnyStore`]).
 pub struct Engine<G: DynamicGraph = DefaultStore> {
     state: RwLock<CoreState<G>>,
-    pool: Arc<WorkerPool>,
+    pool: WorkerPool,
     config: EngineConfig,
     epoch: AtomicU64,
     stats: EngineStats,
@@ -224,10 +224,9 @@ impl<G: DynamicGraph> Engine<G> {
                 }
             })
             .collect();
-        let pool = Arc::new(WorkerPool::new(config.threads));
         Engine {
             state: RwLock::new(CoreState { store, algos }),
-            pool,
+            pool: WorkerPool::new(config.threads),
             config,
             epoch: AtomicU64::new(1),
             stats: EngineStats::default(),
@@ -242,11 +241,6 @@ impl<G: DynamicGraph> Engine<G> {
     /// Name of algorithm `i`.
     pub fn algorithm_name(&self, i: usize) -> &'static str {
         self.state.read().algos[i].alg.name()
-    }
-
-    /// The worker pool (shared with the epoch loop).
-    pub fn pool(&self) -> &Arc<WorkerPool> {
-        &self.pool
     }
 
     /// Engine configuration.

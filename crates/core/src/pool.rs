@@ -1,52 +1,53 @@
 //! A small persistent worker pool.
 //!
 //! Per-update analysis cannot afford to spawn threads per push iteration
-//! (the affected area is often a handful of vertices — §7), so the
-//! engine keeps a fixed pool alive and dispatches closures to it. The
-//! pool is deliberately minimal: `run` executes one job object on all
-//! workers and blocks until every worker finishes — exactly the
-//! fork-join shape of vertex-/edge-parallel push phases and of the
-//! epoch loop's parallel safe phase.
+//! (the affected area is often a handful of vertices — §7), so fixed
+//! pools stay alive and are handed work. Two users share this one
+//! fork-join:
+//!
+//! * the engine's push and bulk load ([`WorkerPool::run`] /
+//!   [`WorkerPool::run_ranges`]): one closure on every worker;
+//! * the server's shard executors ([`WorkerPool::fork_join`]): the epoch
+//!   loop's safe phase, its footprint probe and its parallel unsafe
+//!   execution each hand owned jobs to the workers while the coordinator
+//!   runs its own share.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Sender};
 
 type Job = Arc<dyn Fn(usize) + Send + Sync>;
 
-enum Msg {
-    Run(Job, Sender<()>),
-    Stop,
-}
+/// What a worker runs: one job, which reports its own result.
+type Task = Box<dyn FnOnce() + Send>;
 
 /// A fixed-size fork-join worker pool.
 pub struct WorkerPool {
-    senders: Vec<Sender<Msg>>,
+    senders: Vec<Sender<Task>>,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl WorkerPool {
     /// Spawn `threads` workers (minimum 1).
     pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let mut senders = Vec::with_capacity(threads);
-        let mut handles = Vec::with_capacity(threads);
-        for worker_id in 0..threads {
-            let (tx, rx): (Sender<Msg>, Receiver<Msg>) = unbounded();
+        Self::spawn(threads.max(1), |i| format!("risgraph-worker-{i}"))
+    }
+
+    /// Spawn exactly `workers` workers (possibly none), worker `i`
+    /// named `name(i)`.
+    pub(crate) fn spawn(workers: usize, name: impl Fn(usize) -> String) -> Self {
+        let mut senders = Vec::with_capacity(workers);
+        let mut handles = Vec::with_capacity(workers);
+        for i in 0..workers {
+            let (tx, rx) = unbounded::<Task>();
             senders.push(tx);
             handles.push(
                 std::thread::Builder::new()
-                    .name(format!("risgraph-worker-{worker_id}"))
+                    .name(name(i))
                     .spawn(move || {
-                        while let Ok(msg) = rx.recv() {
-                            match msg {
-                                Msg::Run(job, done) => {
-                                    job(worker_id);
-                                    let _ = done.send(());
-                                }
-                                Msg::Stop => break,
-                            }
+                        while let Ok(task) = rx.recv() {
+                            task();
                         }
                     })
                     .expect("spawn worker"),
@@ -55,40 +56,82 @@ impl WorkerPool {
         WorkerPool { senders, handles }
     }
 
-    /// A pool sized to the machine (the paper uses all hardware threads).
-    pub fn with_default_size() -> Self {
-        Self::new(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
-        )
-    }
-
     /// Number of workers.
     #[inline]
     pub fn threads(&self) -> usize {
         self.senders.len()
     }
 
+    /// Fork-join: hand `jobs[i]` to worker `i`, run `own` on the calling
+    /// thread meanwhile, then join. Returns `own`'s result and the jobs'
+    /// results in job order.
+    ///
+    /// A job that panics kills its worker, and the join panics instead
+    /// of waiting for a result that will never come (as does every later
+    /// join that hands that worker a job). Unless `own` panics, the join
+    /// returns or unwinds only once every job has been dropped — run to
+    /// completion or lost with its worker.
+    ///
+    /// # Panics
+    ///
+    /// If there are more jobs than workers, or a job panicked.
+    pub fn fork_join<R, T>(
+        &self,
+        jobs: Vec<impl FnOnce() -> R + Send + 'static>,
+        own: impl FnOnce() -> T,
+    ) -> (T, Vec<R>)
+    where
+        R: Send + 'static,
+    {
+        let n = jobs.len();
+        assert!(n <= self.threads(), "more jobs than workers");
+        if n == 0 {
+            // No channel: closing one costs a futex wake, and an inline
+            // epoch forks nothing.
+            return (own(), Vec::new());
+        }
+        let (done_tx, done_rx) = unbounded();
+        for ((i, job), worker) in jobs.into_iter().enumerate().zip(&self.senders) {
+            let done = done_tx.clone();
+            // The job is consumed (its captures dropped) before `done`
+            // goes, also when it unwinds — so the disconnect the join
+            // panics on comes only after every job is gone. A dead
+            // worker hands the task back, and dropping it drops `done`.
+            let _ = worker.send(Box::new(move || {
+                let r = job();
+                let _ = done.send((i, r));
+            }));
+        }
+        drop(done_tx);
+        let own = own();
+        let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
+        for _ in 0..n {
+            let (i, r) = done_rx.recv().expect("pool worker panicked");
+            results[i] = Some(r);
+        }
+        (own, results.into_iter().flatten().collect())
+    }
+
     /// Run `job(worker_id)` on every worker; blocks until all complete.
     pub fn run(&self, job: impl Fn(usize) + Send + Sync) {
-        // Erase the closure's lifetime: `run` blocks until every worker
-        // has finished, so the borrow cannot outlive the call. This is
-        // the same contract as `crossbeam::scope`, enforced by the
-        // completion channel below.
+        // SAFETY: erase the closure's lifetime. `run` blocks until
+        // every worker has finished, so the borrow cannot outlive the
+        // call. This is the same contract as `crossbeam::scope`,
+        // enforced by the join below, which returns or unwinds only
+        // after every worker has dropped its handle on the job (the
+        // caller's share does nothing, so it cannot unwind first).
         let job: Arc<dyn Fn(usize) + Send + Sync> = unsafe {
             std::mem::transmute::<Arc<dyn Fn(usize) + Send + Sync + '_>, Job>(
                 Arc::new(job) as Arc<dyn Fn(usize) + Send + Sync + '_>
             )
         };
-        let (done_tx, done_rx) = bounded(self.senders.len());
-        for tx in &self.senders {
-            tx.send(Msg::Run(Arc::clone(&job), done_tx.clone()))
-                .expect("worker alive");
-        }
-        for _ in 0..self.senders.len() {
-            done_rx.recv().expect("worker completed");
-        }
+        let jobs: Vec<_> = (0..self.threads())
+            .map(|worker| {
+                let job = Arc::clone(&job);
+                move || job(worker)
+            })
+            .collect();
+        self.fork_join(jobs, || ());
     }
 
     /// Split `total` items into contiguous chunks and hand each worker a
@@ -119,9 +162,8 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        for tx in &self.senders {
-            let _ = tx.send(Msg::Stop);
-        }
+        // Closing the task channels ends the worker loops.
+        self.senders.clear();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -132,6 +174,7 @@ impl Drop for WorkerPool {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::time::Duration;
 
     #[test]
     fn all_workers_run() {
@@ -190,5 +233,64 @@ mod tests {
         let pool = WorkerPool::new(0);
         assert_eq!(pool.threads(), 1);
         pool.run(|_| {});
+    }
+
+    /// Later jobs likely finish first (the sleeps only make that likely;
+    /// the assertion holds for any finishing order).
+    #[test]
+    fn fork_join_returns_results_in_job_order() {
+        let pool = WorkerPool::spawn(3, |i| format!("fork-join-test-{i}"));
+        let jobs: Vec<_> = (0..3u64)
+            .map(|i| {
+                move || {
+                    std::thread::sleep(Duration::from_millis(10 * (3 - i)));
+                    i * 10
+                }
+            })
+            .collect();
+        let (own, results) = pool.fork_join(jobs, || "own");
+        assert_eq!(own, "own");
+        assert_eq!(results, [0, 10, 20]);
+    }
+
+    #[test]
+    fn fork_join_with_fewer_jobs_than_workers() {
+        let pool = WorkerPool::spawn(4, |i| format!("fork-join-test-{i}"));
+        for round in 0..3u64 {
+            let (own, results) = pool.fork_join(vec![move || round + 1], || round);
+            assert_eq!((own, results), (round, vec![round + 1]));
+        }
+    }
+
+    /// A pool with no workers — a one-executor server's — runs only the
+    /// caller's share.
+    #[test]
+    fn fork_join_without_jobs_runs_only_the_callers_share() {
+        let pool = WorkerPool::spawn(0, |i| format!("fork-join-test-{i}"));
+        assert_eq!(pool.threads(), 0);
+        let (own, results) = pool.fork_join(Vec::<fn() -> u8>::new(), || 7);
+        assert_eq!(own, 7);
+        assert!(results.is_empty());
+    }
+
+    /// The join runs on a helper thread, so a hang fails the test at the
+    /// timeout instead of wedging the suite. A panicking helper drops
+    /// its sender without sending.
+    #[test]
+    fn fork_join_panics_when_a_worker_job_panics() {
+        use std::sync::mpsc::RecvTimeoutError;
+        let (tx, rx) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let pool = WorkerPool::spawn(2, |i| format!("fork-join-test-{i}"));
+            let jobs: Vec<Box<dyn FnOnce() -> u8 + Send>> =
+                vec![Box::new(|| 1), Box::new(|| panic!("injected job panic"))];
+            let joined = pool.fork_join(jobs, || ());
+            let _ = tx.send(joined);
+        });
+        match rx.recv_timeout(Duration::from_secs(30)) {
+            Err(RecvTimeoutError::Disconnected) => assert!(helper.join().is_err()),
+            Err(RecvTimeoutError::Timeout) => panic!("the join hung instead of panicking"),
+            Ok(joined) => panic!("the join returned {joined:?} despite a panicked job"),
+        }
     }
 }

@@ -14,15 +14,16 @@
 //!   consulting the [`Scheduler`] to bound tail latency. A gather pass
 //!   costs what arrived, not what is open (`server/gather.rs`).
 //! * The **sharded safe phase** ([`ServerConfig::shards`]): sessions
-//!   are hash-partitioned over `shards` executors (shard 0 is the
-//!   coordinator itself; shards `1..N` are dedicated worker threads).
+//!   are hash-partitioned over `shards` executors. The executors are
+//!   the server's [`WorkerPool`]: the coordinator is executor 0 and
+//!   the pool's workers (`risgraph-shard-1` …) are executors `1..N`.
 //!   Safe updates commute by construction — they provably change no
 //!   result — so each shard drains its partition of the epoch's safe
 //!   prefix concurrently with the others, preserving per-session order
 //!   because a session maps to exactly one shard. A **barrier** (the
-//!   coordinator collects every dispatched shard's outcome) separates
-//!   the parallel safe phase from the serial unsafe phase, so the
-//!   engine's phase discipline is unchanged. Durability, history,
+//!   pool's [`WorkerPool::fork_join`] joins every dispatched part)
+//!   separates the parallel safe phase from the serial unsafe phase, so
+//!   the engine's phase discipline is unchanged. Durability, history,
 //!   scheduling and sessions stay centralized on the coordinator:
 //!   shards report applied updates and latency counts, the coordinator
 //!   merges them into one WAL group-commit record per epoch and one
@@ -46,9 +47,14 @@
 //!
 //! Durability: every update applied in an epoch — across all shards and
 //! the unsafe phase — is appended as **one merged WAL record** at epoch
-//! end and fsynced on the group-commit cadence. Each safe-phase update
-//! carries a **global application-order stamp** drawn inside the store
-//! lock that serializes same-edge operations; the record is the
+//! end and fsynced on the group-commit cadence. The first failed append
+//! or fsync (counted in `wal.errors`) stops the write path: every
+//! update not yet executed, and every later one, is answered
+//! [`Error::Wal`] at the current version, while reads keep answering.
+//! The failing epoch's own replies went out before its append. Each
+//! safe-phase update carries a **global application-order stamp**
+//! drawn inside the store lock that serializes same-edge operations;
+//! the record is the
 //! stamp-sorted safe log followed by the serial unsafe groups (whose
 //! execution order *is* their record order, every safe stamp preceding
 //! them via the shard barrier) — so replay reproduces the cross-shard
@@ -85,11 +91,12 @@ use crate::engine::{
     ChangeRecord, ChangeSet, DynAlgorithm, Engine, EngineConfig, SafeApply, Safety,
 };
 use crate::injector::Injector;
+use crate::pool::WorkerPool;
 use crate::replication::ReplicationFeed;
 use crate::scheduler::{Scheduler, SchedulerConfig};
-use crate::tree::{Value, VertexState};
+use crate::tree::Value;
 use crate::versioned::Versioned;
-use crate::wal::{read_snapshot, write_snapshot, ResultState, Snapshot, WalWriter};
+use crate::wal::{read_snapshot, write_snapshot, Snapshot, WalWriter};
 
 mod gather;
 use gather::Gather;
@@ -109,9 +116,10 @@ pub struct ServerConfig {
     /// Scheduler tuning (latency limit etc.).
     pub scheduler: SchedulerConfig,
     /// Shard executors for the epoch loop's safe phase. `1` keeps the
-    /// fully serial coordinator; `N > 1` spawns `N - 1` shard worker
-    /// threads and hash-partitions sessions across all `N` executors
-    /// (the coordinator drains shard 0 itself). Defaults to the
+    /// fully serial coordinator; `N > 1` hash-partitions sessions across
+    /// `N` executors: the coordinator (executor 0) and the workers of
+    /// the server's [`WorkerPool`], which holds
+    /// `max(shards, unsafe_workers) − 1` threads. Defaults to the
     /// `RISGRAPH_SHARDS` environment variable when set, else the
     /// machine's available parallelism.
     ///
@@ -157,13 +165,14 @@ pub struct ServerConfig {
     /// pending unsafe operation's affected area is probed (a capped
     /// component walk, see `crate::affected::footprint`), the
     /// operations are partitioned into footprint-disjoint conflict
-    /// groups, and disjoint groups execute concurrently on the shard
-    /// executor threads — with version numbers, replies, history and
-    /// the WAL record still assigned in arrival order, so everything
-    /// observable (including replication replay) is identical to the
-    /// serial phase. Any probe overflow or full-overlap partition
-    /// falls back to the serial path for that epoch. Defaults to the
-    /// `RISGRAPH_UNSAFE_WORKERS` environment variable when set, else 1.
+    /// groups, and disjoint groups execute concurrently on `N` of the
+    /// shard executors (see [`ServerConfig::shards`]) — with version
+    /// numbers, replies, history and the WAL record still assigned in
+    /// arrival order, so everything observable (including replication
+    /// replay) is identical to the serial phase. Any probe overflow or
+    /// full-overlap partition falls back to the serial path for that
+    /// epoch. Defaults to the `RISGRAPH_UNSAFE_WORKERS` environment
+    /// variable when set, else 1.
     pub unsafe_workers: usize,
     /// Probe budget for the parallel unsafe phase: an operation whose
     /// affected-area walk exceeds this many vertices is treated as
@@ -273,41 +282,6 @@ impl Op {
     }
 }
 
-/// Engine result state → snapshot wire form (field-for-field; the two
-/// structs exist so `crates/core::wal` needn't depend on `tree`).
-fn results_to_snapshot(per_algo: Vec<Vec<VertexState>>) -> Vec<Vec<ResultState>> {
-    per_algo
-        .into_iter()
-        .map(|states| {
-            states
-                .into_iter()
-                .map(|s| ResultState {
-                    value: s.value,
-                    parent_src: s.parent_src,
-                    parent_data: s.parent_data,
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Snapshot wire form → engine result state.
-fn results_from_snapshot(per_algo: &[Vec<ResultState>]) -> Vec<Vec<VertexState>> {
-    per_algo
-        .iter()
-        .map(|states| {
-            states
-                .iter()
-                .map(|s| VertexState {
-                    value: s.value,
-                    parent_src: s.parent_src,
-                    parent_data: s.parent_data,
-                })
-                .collect()
-        })
-        .collect()
-}
-
 /// Take a checkpoint: rotate the log onto a fresh segment, persist a
 /// snapshot of the full store structure plus per-algorithm results
 /// (with the replication-feed cut it corresponds to), truncate every
@@ -337,7 +311,7 @@ fn perform_checkpoint(
         cut_version,
         upper_bound,
         updates: engine.export_structure(),
-        results: results_to_snapshot(engine.results_snapshot(upper_bound as usize)),
+        results: engine.results_snapshot(upper_bound as usize),
     };
     write_snapshot(wal.base(), &snap)?;
     wal.truncate_to(start_seg)?;
@@ -517,6 +491,9 @@ pub struct ServerStats {
     /// feed retention cut), including the startup checkpoint after a
     /// recovery.
     pub wal_checkpoints: Arc<Counter>,
+    /// Failed WAL appends and fsyncs, read as `wal.errors` from the
+    /// registry. The first one stops the write path (module docs).
+    pub(crate) wal_errors: Arc<Counter>,
 }
 
 impl ServerStats {
@@ -548,6 +525,7 @@ impl ServerStats {
             min_threshold: registry.gauge("core.min_threshold"),
             wal_replayed_records: registry.counter("wal.replayed_records"),
             wal_checkpoints: registry.counter("wal.checkpoints"),
+            wal_errors: registry.counter("wal.errors"),
         };
         stats.min_threshold.store(u64::MAX, Ordering::Relaxed);
         stats
@@ -622,13 +600,15 @@ struct Shared {
     /// exercisable (real inverses essentially never fail).
     #[cfg(test)]
     fail_rollback: AtomicBool,
+    /// Test hook: make every WAL append report failure.
+    #[cfg(test)]
+    fail_wal_append: AtomicBool,
 }
 
 /// The RisGraph interactive server.
 pub struct Server {
     shared: Arc<Shared>,
     coordinator: Option<std::thread::JoinHandle<()>>,
-    shard_workers: Vec<std::thread::JoinHandle<()>>,
     /// The replication feed (present iff `max_followers > 0`).
     feed: Option<Arc<ReplicationFeed>>,
     /// WAL base path, kept for snapshot-bootstrap reads.
@@ -688,7 +668,7 @@ impl Server {
                 recovered_any = true;
                 versioned.load_structure(&snap.updates);
                 if !snap.results.is_empty() && snap.results.len() == num_algos {
-                    engine.restore_results(&results_from_snapshot(&snap.results));
+                    engine.restore_results(&snap.results);
                     restored_results = true;
                 }
                 bootstrap.extend_from_slice(&snap.updates);
@@ -730,6 +710,8 @@ impl Server {
             hard_crash: AtomicBool::new(false),
             #[cfg(test)]
             fail_rollback: AtomicBool::new(false),
+            #[cfg(test)]
+            fail_wal_append: AtomicBool::new(false),
         });
         shared
             .stats
@@ -755,37 +737,20 @@ impl Server {
         // executors and the parallel unsafe phase across
         // `config.unsafe_workers`, so the pool is sized for the larger
         // of the two — spare workers simply idle during the other
-        // phase. Their job senders live in the coordinator, so they
-        // exit when the coordinator returns.
-        let executors = config.shards.max(1).max(config.unsafe_workers.max(1));
-        let mut shards = Vec::new();
-        let mut shard_workers = Vec::new();
-        for i in 1..executors {
-            let (job_tx, job_rx) = unbounded::<ShardJob>();
-            let (result_tx, result_rx) = unbounded::<ShardOutcome>();
-            let worker_shared = Arc::clone(&shared);
-            shard_workers.push(
-                std::thread::Builder::new()
-                    .name(format!("risgraph-shard-{i}"))
-                    .spawn(move || shard_worker_loop(worker_shared, job_rx, result_tx))
-                    .expect("spawn shard worker"),
-            );
-            shards.push(ShardHandle {
-                jobs: job_tx,
-                results: result_rx,
-            });
-        }
+        // phase. The coordinator owns the pool, so the workers exit
+        // when it returns.
+        let executors = config.shards.max(config.unsafe_workers).max(1);
+        let pool = WorkerPool::spawn(executors - 1, |i| format!("risgraph-shard-{}", i + 1));
 
         let coord_shared = Arc::clone(&shared);
         let coord_feed = feed.clone();
         let coordinator = std::thread::Builder::new()
             .name("risgraph-coordinator".into())
-            .spawn(move || coordinator_loop(coord_shared, config, wal, shards, coord_feed))
+            .spawn(move || coordinator_loop(coord_shared, config, wal, pool, coord_feed))
             .expect("spawn coordinator");
         Ok(Server {
             shared,
             coordinator: Some(coordinator),
-            shard_workers,
             feed,
             wal_path,
         })
@@ -899,12 +864,8 @@ impl Server {
 
     fn do_shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
+        // The coordinator joins the shard executors as it exits.
         if let Some(h) = self.coordinator.take() {
-            let _ = h.join();
-        }
-        // The coordinator's exit dropped the shard job senders, so the
-        // workers unblock and return.
-        for h in self.shard_workers.drain(..) {
             let _ = h.join();
         }
     }
@@ -1163,55 +1124,6 @@ struct EpochBuf {
     unsafe_queue: VecDeque<Envelope>,
 }
 
-/// One unit of work for a shard executor. The coordinator dispatches
-/// at most one job per worker per phase and collects exactly one
-/// outcome per dispatched job, so the two phases of an epoch (and the
-/// two stages of the parallel unsafe phase) never interleave on the
-/// channels.
-enum ShardJob {
-    /// Safe phase: drain a partition of the epoch's safe prefix.
-    Safe {
-        /// The part this shard owns for the epoch.
-        part: Vec<Envelope>,
-        /// The scheduler's latency limit, for qualified-update counting.
-        limit: Duration,
-    },
-    /// Parallel unsafe phase, stage 1: probe affected areas for a slice
-    /// of the pending unsafe operations (read-only store walks).
-    Probe {
-        /// `(arrival index, the operation's updates)` pairs to probe.
-        ops: Vec<(usize, Vec<Update>)>,
-        /// The footprint cap ([`ServerConfig::unsafe_footprint_cap`]).
-        cap: usize,
-    },
-    /// Parallel unsafe phase, stage 2: execute whole conflict groups.
-    /// Groups on one worker run back-to-back; operations within a group
-    /// run in arrival order (they may overlap each other — only
-    /// *cross-group* footprints are disjoint).
-    Unsafe {
-        /// Conflict groups, each a list of `(arrival index, envelope)`
-        /// in ascending arrival order.
-        groups: Vec<Vec<(usize, Envelope)>>,
-    },
-}
-
-/// What a shard executor reports at a phase barrier (one per job, same
-/// variant).
-enum ShardOutcome {
-    Safe(SafeOutcome),
-    Probe(Vec<(usize, Option<Vec<VertexId>>)>),
-    Unsafe(Vec<(usize, UnsafeExec)>),
-}
-
-/// One unsafe operation executed by a parallel worker: the envelope
-/// travels back so the coordinator can reply in arrival order, with
-/// the structural/recompute outcome but **no** version or history side
-/// effects — those stay with the coordinator.
-struct UnsafeExec {
-    env: Envelope,
-    result: Result<ChangeSet>,
-}
-
 /// What a shard executor reports for a safe-phase partition.
 #[derive(Default)]
 struct SafeOutcome {
@@ -1243,59 +1155,6 @@ impl SafeOutcome {
         self.leftovers.extend(other.leftovers);
         self.qualified += other.qualified;
         self.total += other.total;
-    }
-}
-
-/// The coordinator's side of one shard worker: a job channel in, an
-/// outcome channel back. Dropping the sender (coordinator exit) stops
-/// the worker.
-struct ShardHandle {
-    jobs: Sender<ShardJob>,
-    results: Receiver<ShardOutcome>,
-}
-
-fn shard_worker_loop(shared: Arc<Shared>, jobs: Receiver<ShardJob>, results: Sender<ShardOutcome>) {
-    while let Ok(job) = jobs.recv() {
-        let outcome = run_shard_job(&shared, job);
-        if results.send(outcome).is_err() {
-            return;
-        }
-    }
-}
-
-/// Execute one dispatched job — shared between the worker threads and
-/// the coordinator's own inline slice of each phase.
-fn run_shard_job(shared: &Shared, job: ShardJob) -> ShardOutcome {
-    match job {
-        ShardJob::Safe { mut part, limit } => {
-            let mut out = SafeOutcome::default();
-            drain_shard(shared, &mut part, limit, &mut out);
-            ShardOutcome::Safe(out)
-        }
-        ShardJob::Probe { ops, cap } => ShardOutcome::Probe(
-            ops.into_iter()
-                .map(|(idx, updates)| {
-                    (
-                        idx,
-                        crate::affected::footprint(shared.versioned.engine(), &updates, cap),
-                    )
-                })
-                .collect(),
-        ),
-        ShardJob::Unsafe { groups } => ShardOutcome::Unsafe(
-            groups
-                .into_iter()
-                .flatten()
-                .map(|(idx, env)| {
-                    // Sequential propagation: concurrent workers must
-                    // never contend for the engine's shared pool, and
-                    // disjoint footprints make concurrent sequential
-                    // application race-free.
-                    let result = apply_unsafe_op(shared, &env, true);
-                    (idx, UnsafeExec { env, result })
-                })
-                .collect(),
-        ),
     }
 }
 
@@ -1344,10 +1203,10 @@ fn coordinator_loop(
     shared: Arc<Shared>,
     config: ServerConfig,
     mut wal: Option<WalWriter>,
-    shards: Vec<ShardHandle>,
+    pool: WorkerPool,
     feed: Option<Arc<ReplicationFeed>>,
 ) {
-    run_epochs(&shared, &config, &mut wal, &shards, feed.as_deref());
+    run_epochs(&shared, &config, &mut wal, &pool, feed.as_deref());
     match wal {
         // Power-loss simulation (`Server::crash`): leak the writer so
         // its buffered tail is never flushed; the fd is reclaimed at
@@ -1355,7 +1214,10 @@ fn coordinator_loop(
         Some(w) if shared.hard_crash.load(Ordering::Acquire) => std::mem::forget(w),
         // Graceful exit: flush and fsync whatever is still buffered.
         Some(mut w) => {
-            let _ = w.sync();
+            let synced = w.sync();
+            if synced.is_err() {
+                shared.stats.wal_errors.fetch_add(1, Ordering::Relaxed);
+            }
         }
         None => {}
     }
@@ -1371,7 +1233,7 @@ fn run_epochs(
     shared: &Arc<Shared>,
     config: &ServerConfig,
     wal: &mut Option<WalWriter>,
-    shards: &[ShardHandle],
+    pool: &WorkerPool,
     feed: Option<&ReplicationFeed>,
 ) {
     let mut scheduler = Scheduler::new(config.scheduler.clone());
@@ -1400,6 +1262,9 @@ fn run_epochs(
     // Records in the log at the last checkpoint — a time-triggered
     // checkpoint is skipped while nothing new has been appended.
     let mut records_at_checkpoint = wal.as_ref().map_or(0, |w| w.records());
+    // Set by the first failed append or fsync: from then on nothing
+    // executes, and every gathered update is refused with it.
+    let mut wal_failure: Option<String> = None;
     shared
         .stats
         .threshold
@@ -1450,6 +1315,18 @@ fn run_epochs(
             }
             shared.injector.wait(config.idle_poll);
         }
+        if let Some(cause) = &wal_failure {
+            // Refuse what was gathered. A session's safe prefix precedes
+            // its one unsafe update, so its replies keep their order.
+            let gathered = buf.safe_parts.iter_mut().flat_map(|part| part.drain(..));
+            let gathered = gathered.chain(buf.unsafe_queue.drain(..));
+            for env in gathered {
+                let outcome = Err(Error::Wal(cause.clone()));
+                let version = shared.versioned.current_version();
+                send_reply(shared, &env, Reply { version, outcome });
+            }
+            buf.safe_count = 0;
+        }
 
         // ---- Sharded parallel safe phase ---------------------------
         let t_epoch = Instant::now();
@@ -1470,40 +1347,40 @@ fn run_epochs(
             shared.stats.epochs_inline.fetch_add(1, Ordering::Relaxed);
         }
         if buf.safe_count > 0 {
-            // Part 0 is the coordinator's, parts 1..N the worker
-            // threads'. The pool may be larger (sized for
-            // `unsafe_workers`); the safe partition deliberately stays
-            // a function of `config.shards` and the epoch's size alone
-            // so enabling parallel unsafe execution cannot change
-            // safe-phase scheduling.
+            // Part 0 is the coordinator's; the other non-empty parts go
+            // to the pool's workers unless the epoch is inline. The pool
+            // may be larger (sized for `unsafe_workers`); the safe
+            // partition deliberately stays a function of
+            // `config.shards` and the epoch's size alone so enabling
+            // parallel unsafe execution cannot change safe-phase
+            // scheduling.
             let t_safe = Instant::now();
-            let mut dispatched = Vec::new();
-            if !inline {
-                for (i, handle) in shards[..shard_count - 1].iter().enumerate() {
-                    let part = std::mem::take(&mut buf.safe_parts[i + 1]);
-                    if !part.is_empty() {
-                        handle
-                            .jobs
-                            .send(ShardJob::Safe { part, limit })
-                            .expect("shard worker alive");
-                        dispatched.push(i);
+            let jobs: Vec<_> = buf.safe_parts[1..]
+                .iter_mut()
+                .filter(|part| !inline && !part.is_empty())
+                .map(|part| {
+                    let (shared, mut part) = (Arc::clone(shared), std::mem::take(part));
+                    move || {
+                        let mut out = SafeOutcome::default();
+                        drain_shard(&shared, &mut part, limit, &mut out);
+                        out
                     }
+                })
+                .collect();
+            // The epoch barrier is the join: every dispatched part must
+            // report before the serial unsafe phase may touch results.
+            let (t_barrier, outs) = pool.fork_join(jobs, || {
+                for part in &mut buf.safe_parts {
+                    drain_shard(shared, part, limit, &mut safe);
                 }
-            }
-            for part in &mut buf.safe_parts {
-                drain_shard(shared, part, limit, &mut safe);
-            }
-            phases[Phase::SafeExecute as usize] = t_safe.elapsed().as_nanos() as u64;
-            // The epoch barrier: every dispatched shard must report
-            // before the serial unsafe phase may touch results.
-            let t_barrier = Instant::now();
-            for i in dispatched {
-                match shards[i].results.recv().expect("shard worker alive") {
-                    ShardOutcome::Safe(out) => safe.absorb(out),
-                    _ => unreachable!("safe job answered with non-safe outcome"),
-                }
-            }
+                Instant::now()
+            });
+            phases[Phase::SafeExecute as usize] =
+                t_barrier.duration_since(t_safe).as_nanos() as u64;
             phases[Phase::BarrierWait as usize] = t_barrier.elapsed().as_nanos() as u64;
+            for out in outs {
+                safe.absorb(out);
+            }
             // Demoted suffixes go back to the front of their queues,
             // with their sessions' unsafe updates behind them.
             gather.requeue(safe.leftovers, safe.stopped, &mut buf.unsafe_queue);
@@ -1525,7 +1402,7 @@ fn run_epochs(
                 &mut unsafe_groups,
                 &mut scheduler,
                 config,
-                shards,
+                pool,
                 &mut phases,
             );
         if !ran_parallel && unsafe_workers > 1 && buf.unsafe_queue.len() > 1 {
@@ -1578,11 +1455,21 @@ fn run_epochs(
                 for group in &unsafe_groups {
                     updates.extend_from_slice(group);
                 }
-                let _ = w.append(&updates);
+                let mut written = w.append(&updates);
+                #[cfg(test)]
+                if shared.fail_wal_append.load(Ordering::Acquire) {
+                    written = Err(Error::Wal("injected append failure".into()));
+                }
                 // Group commit: fsync at most every wal_sync_interval.
-                if last_wal_sync.elapsed() >= config.wal_sync_interval {
-                    let _ = w.sync();
+                if written.is_ok() && last_wal_sync.elapsed() >= config.wal_sync_interval {
+                    written = w.sync();
                     last_wal_sync = Instant::now();
+                }
+                // No retry: a partial append leaves a torn tail, which
+                // recovery truncates.
+                if let Err(e) = written {
+                    shared.stats.wal_errors.fetch_add(1, Ordering::Relaxed);
+                    wal_failure = Some(format!("write path stopped by a failed log write ({e})"));
                 }
                 let wal_ns = t_wal.elapsed().as_nanos() as u64;
                 let rotate_ns = w.rotate_ns() - rotate_before;
@@ -1610,8 +1497,9 @@ fn run_epochs(
         // After the feed publish, so the snapshot's embedded cut and
         // the engine state it captures agree. A failed checkpoint is
         // not fatal: the log stays fully usable and the next trigger
-        // retries.
-        if let Some(w) = wal.as_mut() {
+        // retries. A failed append or fsync is: nothing is written
+        // after it.
+        if let Some(w) = wal.as_mut().filter(|_| wal_failure.is_none()) {
             let due_time = config
                 .checkpoint_interval
                 .is_some_and(|iv| last_checkpoint.elapsed() >= iv);
@@ -1750,48 +1638,29 @@ fn run_unsafe_parallel(
     unsafe_groups: &mut Vec<Vec<Update>>,
     scheduler: &mut Scheduler,
     config: &ServerConfig,
-    shards: &[ShardHandle],
+    pool: &WorkerPool,
     phases: &mut [u64; PHASE_COUNT],
 ) -> bool {
     let n = queue.len();
-    let workers = (config.unsafe_workers - 1).min(shards.len());
+    let executors = config.unsafe_workers;
     let cap = config.unsafe_footprint_cap;
     let t_probe = Instant::now();
 
     // Stage 1: probe affected areas in parallel. Probes are read-only
     // component walks and the structure is quiescent between the safe
     // barrier and the first unsafe application, so no gate is needed.
-    let mut chunks: Vec<Vec<(usize, Vec<Update>)>> = (0..workers + 1).map(|_| Vec::new()).collect();
+    let mut chunks: Vec<Vec<(usize, Vec<Update>)>> = (0..executors).map(|_| Vec::new()).collect();
     for (i, env) in queue.iter().enumerate() {
-        chunks[i % (workers + 1)].push((i, env.op.updates().to_vec()));
+        chunks[i % executors].push((i, env.op.updates().to_vec()));
     }
-    let mut dispatched = Vec::new();
-    for w in 1..workers + 1 {
-        let chunk = std::mem::take(&mut chunks[w]);
-        if !chunk.is_empty() {
-            shards[w - 1]
-                .jobs
-                .send(ShardJob::Probe { ops: chunk, cap })
-                .expect("shard worker alive");
-            dispatched.push(w - 1);
-        }
-    }
-    let mut probed = match run_shard_job(
-        shared,
-        ShardJob::Probe {
-            ops: std::mem::take(&mut chunks[0]),
-            cap,
-        },
-    ) {
-        ShardOutcome::Probe(r) => r,
-        _ => unreachable!("probe job answered with non-probe outcome"),
-    };
-    for w in dispatched {
-        match shards[w].results.recv().expect("shard worker alive") {
-            ShardOutcome::Probe(r) => probed.extend(r),
-            _ => unreachable!("probe job answered with non-probe outcome"),
-        }
-    }
+    let probed = fork_parts(pool, shared, chunks, move |shared, ops| {
+        ops.into_iter()
+            .map(|(idx, updates)| {
+                let engine = shared.versioned.engine();
+                (idx, crate::affected::footprint(engine, &updates, cap))
+            })
+            .collect()
+    });
     let mut footprints: Vec<Option<Vec<VertexId>>> = (0..n).map(|_| None).collect();
     for (idx, fp) in probed {
         footprints[idx] = fp;
@@ -1852,64 +1721,47 @@ fn run_unsafe_parallel(
 
     // Stage 2: longest-group-first greedy assignment over the
     // executors (coordinator = executor 0), then execute. Within a
-    // group, arrival order; across groups, true concurrency.
+    // group, arrival order; across groups, true concurrency. Groups on
+    // one executor run back-to-back.
     let mut order: Vec<usize> = (0..num_groups).collect();
     order.sort_by_key(|&g| std::cmp::Reverse(groups[g].len()));
-    let mut assign: Vec<Vec<Vec<(usize, Envelope)>>> =
-        (0..workers + 1).map(|_| Vec::new()).collect();
-    let mut load = vec![0usize; workers + 1];
+    let mut assign: Vec<Vec<(usize, Envelope)>> = (0..executors).map(|_| Vec::new()).collect();
+    let mut load = vec![0usize; executors];
     for g in order {
-        let exec = (0..workers + 1)
+        let exec = (0..executors)
             .min_by_key(|&e| (load[e], e))
             .expect("at least the coordinator");
         load[exec] += groups[g].len();
-        assign[exec].push(
-            groups[g]
-                .iter()
-                .map(|&idx| {
-                    (
-                        idx,
-                        envs[idx].take().expect("each op is in exactly one group"),
-                    )
-                })
-                .collect(),
-        );
+        assign[exec].extend(groups[g].iter().map(|&idx| {
+            (
+                idx,
+                envs[idx].take().expect("each op is in exactly one group"),
+            )
+        }));
     }
-    let mut dispatched = Vec::new();
-    for w in 1..workers + 1 {
-        let jobs = std::mem::take(&mut assign[w]);
-        if !jobs.is_empty() {
-            shards[w - 1]
-                .jobs
-                .send(ShardJob::Unsafe { groups: jobs })
-                .expect("shard worker alive");
-            dispatched.push(w - 1);
-        }
-    }
-    let mut execs = match run_shard_job(
-        shared,
-        ShardJob::Unsafe {
-            groups: std::mem::take(&mut assign[0]),
-        },
-    ) {
-        ShardOutcome::Unsafe(r) => r,
-        _ => unreachable!("unsafe job answered with non-unsafe outcome"),
-    };
-    // The phase barrier: every worker must finish before any version
-    // is assigned.
-    for w in dispatched {
-        match shards[w].results.recv().expect("shard worker alive") {
-            ShardOutcome::Unsafe(r) => execs.extend(r),
-            _ => unreachable!("unsafe job answered with non-unsafe outcome"),
-        }
-    }
+    // The join is the phase barrier: every executor finishes before any
+    // version is assigned. The envelope travels back with its
+    // structural/recompute outcome but no version or history side
+    // effects — those stay with the coordinator.
+    let mut execs = fork_parts(pool, shared, assign, |shared, ops| {
+        ops.into_iter()
+            .map(|(idx, env)| {
+                // Sequential propagation: concurrent executors must
+                // never contend for the engine's shared pool, and
+                // disjoint footprints make concurrent sequential
+                // application race-free.
+                let result = apply_unsafe_op(shared, &env, true);
+                (idx, env, result)
+            })
+            .collect()
+    });
     phases[Phase::UnsafeExecute as usize] += t_exec.elapsed().as_nanos() as u64;
     let t_finalize = Instant::now();
 
     // Finalize in arrival order — indistinguishable from the serial
     // phase for every observer (clients, history, WAL, replication).
     execs.sort_unstable_by_key(|e| e.0);
-    for (_, UnsafeExec { env, result }) in execs {
+    for (_, env, result) in execs {
         finish_unsafe(shared, &env, result, unsafe_groups, scheduler);
     }
     phases[Phase::Finalize as usize] += t_finalize.elapsed().as_nanos() as u64;
@@ -1919,6 +1771,29 @@ fn run_unsafe_parallel(
         .unsafe_parallel_groups
         .fetch_add(num_groups as u64, Ordering::Relaxed);
     true
+}
+
+/// One fork of the parallel unsafe phase: executor `e` runs
+/// `run(parts[e])` — the coordinator is executor 0, and an empty part
+/// wakes nobody. Returns every part's output, concatenated.
+fn fork_parts<T: Send + 'static, X: Send + 'static>(
+    pool: &WorkerPool,
+    shared: &Arc<Shared>,
+    parts: Vec<Vec<T>>,
+    run: impl Fn(&Shared, Vec<T>) -> Vec<X> + Copy + Send + 'static,
+) -> Vec<X> {
+    let mut parts = parts.into_iter();
+    let own = parts.next().unwrap_or_default();
+    let jobs: Vec<_> = parts
+        .filter(|part| !part.is_empty())
+        .map(|part| {
+            let shared = Arc::clone(shared);
+            move || run(&shared, part)
+        })
+        .collect();
+    let (mut out, rest) = pool.fork_join(jobs, || run(shared, own));
+    out.extend(rest.into_iter().flatten());
+    out
 }
 
 /// Record the completion-latency sample, then deliver the reply. The
@@ -2565,65 +2440,128 @@ mod tests {
     /// every reply, version and value must match the serial semantics,
     /// and with truly disjoint regions the parallel-groups counter
     /// engages (single-session synchronous traffic has one op pending
-    /// per epoch, so drive two sessions concurrently).
+    /// per epoch, so drive two sessions concurrently). Run once with a
+    /// pool sized by the unsafe fork, and once with a pool larger than
+    /// it (sized by the shards).
     #[test]
     fn parallel_unsafe_phase_executes_disjoint_groups() {
-        let mut config = ServerConfig::default();
-        config.engine.threads = 1;
-        config.shards = 1;
-        config.unsafe_workers = 4;
-        let srv = StdArc::new(
-            Server::start(vec![StdArc::new(Wcc::new()) as DynAlgorithm], 64, config).unwrap(),
-        );
-        // Two disjoint chains; del/ins of a chain edge is always unsafe
-        // under WCC (splits/merges a component).
-        srv.load_edges(&[(0, 1, 0), (1, 2, 0), (10, 11, 0), (11, 12, 0)]);
-        std::thread::scope(|scope| {
-            for base in [0u64, 10] {
-                let srv = StdArc::clone(&srv);
-                scope.spawn(move || {
-                    let s = srv.session();
-                    for _ in 0..40 {
-                        let r = s.del_edge(Edge::new(base, base + 1, 0));
-                        assert!(r.outcome.is_ok());
-                        let r = s.ins_edge(Edge::new(base, base + 1, 0));
-                        assert!(r.outcome.is_ok());
-                    }
-                });
+        for (shards, unsafe_workers) in [(1, 4), (4, 2)] {
+            let mut config = ServerConfig::default();
+            config.engine.threads = 1;
+            config.shards = shards;
+            config.unsafe_workers = unsafe_workers;
+            let srv = StdArc::new(
+                Server::start(vec![StdArc::new(Wcc::new()) as DynAlgorithm], 64, config).unwrap(),
+            );
+            // Two disjoint chains; del/ins of a chain edge is always
+            // unsafe under WCC (splits/merges a component).
+            srv.load_edges(&[(0, 1, 0), (1, 2, 0), (10, 11, 0), (11, 12, 0)]);
+            std::thread::scope(|scope| {
+                for base in [0u64, 10] {
+                    let srv = StdArc::clone(&srv);
+                    scope.spawn(move || {
+                        let s = srv.session();
+                        for _ in 0..40 {
+                            let r = s.del_edge(Edge::new(base, base + 1, 0));
+                            assert!(r.outcome.is_ok());
+                            let r = s.ins_edge(Edge::new(base, base + 1, 0));
+                            assert!(r.outcome.is_ok());
+                        }
+                    });
+                }
+            });
+            let s = srv.session();
+            let v = s.get_current_version();
+            assert_eq!(v, 160, "every op bumped the version exactly once");
+            // Final state: both chains intact (WCC labels are the chain
+            // minima).
+            assert_eq!(srv.engine().value(0, 2), 0);
+            assert_eq!(srv.engine().value(0, 12), 10);
+            let stats = srv.stats();
+            assert_eq!(
+                stats.unsafe_executed.load(Ordering::Relaxed),
+                160,
+                "all ops were unsafe"
+            );
+            // Concurrent sessions mean at least some epochs held two
+            // pending disjoint ops; those must have run in parallel
+            // groups. (Timing-dependent epochs with one op run serially
+            // without counting as fallbacks.)
+            let groups = stats.unsafe_parallel_groups.load(Ordering::Relaxed);
+            let fallbacks = stats.unsafe_serial_fallbacks.load(Ordering::Relaxed);
+            assert_eq!(
+                fallbacks, 0,
+                "disjoint regions never overlap, so no epoch may fall back"
+            );
+            assert!(
+                groups.is_multiple_of(2),
+                "disjoint two-session groups come in pairs"
+            );
+            assert!(
+                stats.unsafe_phase.count() > 0,
+                "unsafe-phase histogram records each epoch with unsafe work"
+            );
+            StdArc::try_unwrap(srv).ok().unwrap().shutdown();
+        }
+    }
+
+    /// A failed WAL write stops the write path. The failing epoch's own
+    /// reply went out before its append; after it, nothing is acked, the
+    /// version holds still, reads keep answering and `wal.errors` reads
+    /// 1.
+    #[test]
+    fn failed_wal_append_stops_the_write_path() {
+        let dir = std::env::temp_dir().join("risgraph-server-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("failed-append-{}.wal", std::process::id()));
+        let remove_log = |p: &std::path::Path| {
+            let _ = std::fs::remove_file(p);
+            let _ = std::fs::remove_file(crate::wal::snapshot_path(p));
+            for seg in 0..8 {
+                let _ = std::fs::remove_file(crate::wal::segment_path(p, seg));
             }
-        });
+        };
+        remove_log(&path);
+        let mut config = ServerConfig::default();
+        config.engine.threads = 2;
+        config.wal_path = Some(path.clone());
+        let srv = Server::start(vec![StdArc::new(Bfs::new(0))], 16, config).unwrap();
         let s = srv.session();
-        let v = s.get_current_version();
-        assert_eq!(v, 160, "every op bumped the version exactly once");
-        // Final state: both chains intact (WCC labels are the chain
-        // minima).
-        assert_eq!(srv.engine().value(0, 2), 0);
-        assert_eq!(srv.engine().value(0, 12), 10);
-        let stats = srv.stats();
-        assert_eq!(
-            stats.unsafe_executed.load(Ordering::Relaxed),
-            160,
-            "all ops were unsafe"
-        );
-        // Concurrent sessions mean at least some epochs held two
-        // pending disjoint ops; those must have run in parallel groups.
-        // (Timing-dependent epochs with one op run serially without
-        // counting as fallbacks.)
-        let groups = stats.unsafe_parallel_groups.load(Ordering::Relaxed);
-        let fallbacks = stats.unsafe_serial_fallbacks.load(Ordering::Relaxed);
-        assert_eq!(
-            fallbacks, 0,
-            "disjoint regions never overlap, so no epoch may fall back"
-        );
-        assert!(
-            groups.is_multiple_of(2),
-            "disjoint two-session groups come in pairs"
-        );
-        assert!(
-            stats.unsafe_phase.count() > 0,
-            "unsafe-phase histogram records each epoch with unsafe work"
-        );
-        StdArc::try_unwrap(srv).ok().unwrap().shutdown();
+        s.ins_edge(Edge::new(0, 1, 0)).outcome.unwrap();
+        // That reply preceded its epoch's append: let the append land
+        // (the epoch is counted after it) before failing the next one.
+        while srv.stats().epochs.load(Ordering::Acquire) == 0 {
+            std::thread::yield_now();
+        }
+        srv.shared.fail_wal_append.store(true, Ordering::Release);
+        let last = s.ins_edge(Edge::new(1, 2, 0));
+        assert!(last.outcome.is_ok(), "replied before its append");
+
+        let other = srv.session();
+        for tag in 0..4 {
+            let u = Update::InsEdge(Edge::new(2 + tag, 3 + tag, 0));
+            other.submit_update_tagged(&u, tag).unwrap();
+        }
+        let mut replies = vec![
+            s.ins_edge(Edge::new(2, 0, 0)),
+            s.del_edge(Edge::new(0, 1, 0)),
+            s.txn_updates(vec![
+                Update::InsVertex(9),
+                Update::DelEdge(Edge::new(1, 2, 0)),
+            ]),
+        ];
+        replies.extend((0..4).map(|_| other.recv_tagged().unwrap().1));
+        for r in replies {
+            assert!(matches!(r.outcome, Err(Error::Wal(_))), "{:?}", r.outcome);
+            assert_eq!(r.version, last.version);
+        }
+        assert_eq!(srv.current_version(), last.version);
+        assert_eq!(s.get_value(0, last.version, 2).unwrap(), 2);
+        assert_eq!(srv.engine().value(0, 2), 2);
+        let errors = srv.metrics().counter("wal.errors");
+        assert_eq!(errors.load(Ordering::Relaxed), 1);
+        srv.shutdown();
+        remove_log(&path);
     }
 
     /// One flat part holding two interleaved sessions. With two copies

@@ -58,6 +58,8 @@ use risgraph_common::ids::Update;
 use risgraph_common::protocol::{decode_updates, put_update as encode_update};
 use risgraph_common::{Error, Result};
 
+use crate::tree::VertexState;
+
 /// Per-record update cap: epochs larger than this are split across
 /// records so the `u32` header fields can never wrap (25 bytes/update
 /// keeps a full record far below `u32::MAX` payload bytes).
@@ -200,16 +202,8 @@ pub fn read_manifest(base: impl AsRef<Path>) -> Result<Option<Manifest>> {
 }
 
 /// One algorithm's dependency-tree state for one vertex, as persisted
-/// in a checkpoint snapshot (mirrors `tree::VertexState`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ResultState {
-    /// The maintained value.
-    pub value: u64,
-    /// Parent vertex in the dependency tree (`u64::MAX` = none).
-    pub parent_src: u64,
-    /// Weight of the parent edge.
-    pub parent_data: u64,
-}
+/// in a checkpoint snapshot: the tree's own state, 24 bytes on disk.
+pub type ResultState = VertexState;
 
 /// A checkpoint snapshot: the full store structure as a synthetic
 /// update batch plus per-algorithm result state, with the replay
