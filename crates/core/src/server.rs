@@ -6,12 +6,27 @@
 //! * **Sessions** ([`Session`]) emulate the paper's synchronous users:
 //!   each submits one update (or transaction) and waits for the reply
 //!   carrying a result-view version id.
-//! * The **coordinator thread** runs epoch loops: it gathers pending
+//! * **Safe updates apply where they arrive** (§4: they change no
+//!   result, so they commute with one another and may run anywhere
+//!   unsafe updates are excluded). A synchronous session classifies its
+//!   single update on the calling thread and, if it is safe, applies it
+//!   there under the shared side of the store's gate, takes its version
+//!   and stamps it into one inline log, then replies — no hand-off to the
+//!   coordinator. Everything else is routed to the coordinator: unsafe,
+//!   demoted or multi-update ops, ops that need the engine to grow or
+//!   find the gate held, tagged (pipelined, network) submissions, and
+//!   anything after shutdown or a failed log write.
+//! * The **coordinator thread** runs epoch loops: it gathers routed
 //!   updates, classifies each session's queue prefix (stopping at the
 //!   first unsafe update — everything behind it is *next-epoch*, §4),
 //!   executes all safe updates **in parallel across shards**, then
-//!   executes unsafe updates **one by one** (each internally parallel),
-//!   consulting the [`Scheduler`] to bound tail latency. A gather pass
+//!   *cuts*: it takes the gate's exclusive side, so no caller is
+//!   mid-apply, folds the inline log into the epoch's safe log, runs the
+//!   epoch's multi-update safe transactions (a rollback must never run
+//!   beside another applier), then executes unsafe updates **one by
+//!   one** (each internally parallel), consulting the [`Scheduler`] to
+//!   bound tail latency. An idle coordinator cuts after each
+//!   `idle_poll` wait that finds callers' work in the log. A gather pass
 //!   costs what arrived, not what is open (`server/gather.rs`).
 //! * The **sharded safe phase** ([`ServerConfig::shards`]): sessions
 //!   are hash-partitioned over `shards` executors. The executors are
@@ -39,27 +54,30 @@
 //!   alone, so synchronous sessions (§6.2, one update in flight each)
 //!   run inline and pipelined or multiplexed traffic shards as before;
 //!   `core.epochs_inline` against `core.epochs` says which a server is
-//!   doing.
+//!   doing. A caller applying its own update is in no epoch at all.
 //! * Per-session order is preserved and each session observes
 //!   sequentially consistent behaviour: a session's updates execute in
 //!   submission order, and a demoted safe update re-enters its session's
 //!   queue front.
 //!
-//! Durability: every update applied in an epoch — across all shards and
-//! the unsafe phase — is appended as **one merged WAL record** at epoch
-//! end and fsynced on the group-commit cadence. The first failed append
-//! or fsync (counted in `wal.errors`) stops the write path: every
-//! update not yet executed, and every later one, is answered
-//! [`Error::Wal`] at the current version, while reads keep answering.
-//! The failing epoch's own replies went out before its append. Each
-//! safe-phase update carries a **global application-order stamp**
-//! drawn inside the store lock that serializes same-edge operations;
-//! the record is the
+//! Durability: every update applied in an epoch — across all shards,
+//! the callers' threads since the last cut and the unsafe phase — is
+//! appended as **one merged WAL record** inside the cut and fsynced on
+//! the group-commit cadence after it. The first failed append or fsync
+//! (counted in `wal.errors`) stops the write path: every update not yet
+//! executed, and every later one, is answered [`Error::Wal`] at the
+//! current version, while reads keep answering. The failing record's own
+//! replies went out before its append (and, for a failed fsync, so did
+//! those of callers that applied after its cut). Each safe update
+//! carries a **global application-order stamp** drawn inside the store
+//! lock that serializes same-edge operations; the record is the
 //! stamp-sorted safe log followed by the serial unsafe groups (whose
 //! execution order *is* their record order, every safe stamp preceding
-//! them via the shard barrier) — so replay reproduces the cross-shard
-//! execution order byte-exactly, even for same-edge count-races across
-//! sessions within one epoch. When [`ServerConfig::max_followers`]
+//! them via the shard barrier and the cut) — so replay reproduces the
+//! cross-shard execution order byte-exactly, even for same-edge
+//! count-races across sessions within one epoch. A checkpoint is taken
+//! inside the cut too, so a record, a feed cut and a snapshot all close
+//! on one boundary. When [`ServerConfig::max_followers`]
 //! `> 0`, the same per-epoch record — enriched with its version shape
 //! (safe bump count + unsafe version groups) — is also published to
 //! the [`ReplicationFeed`] for streaming replicas
@@ -95,7 +113,7 @@ use crate::pool::WorkerPool;
 use crate::replication::ReplicationFeed;
 use crate::scheduler::{Scheduler, SchedulerConfig};
 use crate::tree::Value;
-use crate::versioned::Versioned;
+use crate::versioned::{vertex_bound, Versioned};
 use crate::wal::{read_snapshot, write_snapshot, Snapshot, WalWriter};
 
 mod gather;
@@ -350,11 +368,13 @@ const CHECKPOINT_SEGMENT_LAG: u64 = 4;
 /// everything larger on the path it was on.
 pub const INLINE_SAFE_PER_SHARD: usize = 8;
 
-/// How long a synchronous submission probes its reply channel before
-/// it parks (by the clock; see [`Session`]). About ten inline epochs:
-/// long enough that a safe update's reply is always caught, short
-/// enough that a caller waiting out an unsafe update or a large epoch
-/// gives its core away almost at once.
+/// How long a synchronous submission the coordinator answers — a routed
+/// one: unsafe, demoted, a transaction, or one that found the gate held
+/// (see [`Session`]) — probes its reply channel before it parks (by the
+/// clock). A safe update applied on the calling thread never waits.
+/// About ten small epochs: long enough that a routed safe update's
+/// reply is caught, short enough that a caller waiting out an unsafe
+/// update or a large epoch gives its core away almost at once.
 pub const SYNC_REPLY_SPIN: Duration = Duration::from_micros(30);
 
 /// Information returned with every successful update.
@@ -413,9 +433,12 @@ pub struct ServerStats {
     pub epochs: Arc<Counter>,
     /// Epochs whose safe phase stayed on the coordinator — no dispatch,
     /// no barrier — because they held at most
-    /// [`INLINE_SAFE_PER_SHARD`] safe updates per shard (every epoch of
-    /// a `shards = 1` server). `epochs − epochs_inline` is the number
-    /// that took the sharded path.
+    /// [`INLINE_SAFE_PER_SHARD`] routed safe updates per shard (every
+    /// epoch of a `shards = 1` server, and every epoch that only cut
+    /// what callers applied on their own threads). `epochs −
+    /// epochs_inline` is the number that took the sharded path. Safe
+    /// updates a synchronous caller applied itself are not in any
+    /// epoch's safe phase; `safe_inline` counts them.
     pub epochs_inline: Arc<Counter>,
     /// Synchronous submissions whose reply took longer than the
     /// caller-side spin ([`SYNC_REPLY_SPIN`]) and parked the calling
@@ -432,6 +455,14 @@ pub struct ServerStats {
     pub sessions_examined: Arc<Counter>,
     /// Updates executed on the parallel safe path.
     pub safe_executed: Arc<Counter>,
+    /// Of `safe_executed`, the updates a synchronous caller classified
+    /// and applied on its own thread (see [`Session`]) — no hand-off to
+    /// the coordinator and back.
+    pub safe_inline: Arc<Counter>,
+    /// Safe transactions whose rollback could not undo an applied
+    /// update: the store matches neither the pre-transaction state nor
+    /// any prefix of it, and the reply said [`Error::Corruption`].
+    pub safe_rollback_failures: Arc<Counter>,
     /// Updates executed on the serial unsafe path.
     pub unsafe_executed: Arc<Counter>,
     /// Safe-phase demotions (revalidation failures).
@@ -507,6 +538,8 @@ impl ServerStats {
             pending_sessions: registry.gauge("core.pending_sessions"),
             sessions_examined: registry.counter("core.gather.sessions_examined"),
             safe_executed: registry.counter("core.safe_executed"),
+            safe_inline: registry.counter("core.safe_inline"),
+            safe_rollback_failures: registry.counter("core.safe_rollback_failures"),
             unsafe_executed: registry.counter("core.unsafe_executed"),
             demotions: registry.counter("core.demotions"),
             threshold: registry.gauge("core.threshold"),
@@ -569,8 +602,8 @@ impl ServerStats {
 
 struct Shared {
     /// The engine, its histories, the version counter and the query
-    /// gate — held exclusively during unsafe execution so point-in-time
-    /// queries never observe a half-applied update.
+    /// gate — held exclusively by the cut, through unsafe execution, so
+    /// point-in-time queries never observe a half-applied update.
     versioned: Versioned,
     /// The submit side: sessions push, the coordinator takes the whole
     /// backlog once per gather pass.
@@ -583,6 +616,23 @@ struct Shared {
     /// that serializes same-edge operations), and the epoch's merged
     /// WAL record is sorted by it before appending.
     seq: AtomicU64,
+    /// What synchronous callers applied on their own threads since the
+    /// last cut (see [`Session`]): each update with its stamp, and the
+    /// op and scheduler counts. Pushed to under the gate's shared side
+    /// and drained under its exclusive side, so a cut never separates
+    /// an apply from its version or from its entry here.
+    inline_log: Mutex<SafeOutcome>,
+    /// Whether epochs become records — a WAL or a replication feed is
+    /// on. Without either, callers log only counts (the updates would be
+    /// written nowhere), and a cut with no unsafe work and no
+    /// transaction to run takes no gate.
+    records: bool,
+    /// The scheduler's latency limit, for the callers' own count of the
+    /// safe updates they served within it.
+    latency_limit: Duration,
+    /// Set by the first failed WAL append or fsync: from then on callers
+    /// route every update to the coordinator, which refuses it.
+    write_stopped: AtomicBool,
     stats: ServerStats,
     /// The unified metrics registry: every `stats` cell, the WAL and
     /// replication-feed gauges, and (via [`Server::metrics`]) whatever
@@ -603,6 +653,10 @@ struct Shared {
     /// Test hook: make every WAL append report failure.
     #[cfg(test)]
     fail_wal_append: AtomicBool,
+    /// Test hook: run between a safe transaction's constituents, after
+    /// the first has applied and before the next applies.
+    #[cfg(test)]
+    txn_gap: Mutex<Option<Arc<dyn Fn() + Send + Sync>>>,
 }
 
 /// The RisGraph interactive server.
@@ -704,6 +758,10 @@ impl Server {
             released: Mutex::new(FxHashMap::default()),
             next_session: AtomicU64::new(0),
             seq: AtomicU64::new(0),
+            inline_log: Mutex::new(SafeOutcome::default()),
+            records: wal.is_some() || feed.is_some(),
+            latency_limit: config.scheduler.latency_limit,
+            write_stopped: AtomicBool::new(false),
             stats: ServerStats::registered(&metrics),
             metrics,
             tracer,
@@ -712,6 +770,8 @@ impl Server {
             fail_rollback: AtomicBool::new(false),
             #[cfg(test)]
             fail_wal_append: AtomicBool::new(false),
+            #[cfg(test)]
+            txn_gap: Mutex::new(None),
         });
         shared
             .stats
@@ -882,21 +942,34 @@ impl Drop for Server {
 /// Two submission disciplines share one reply channel:
 ///
 /// * the **synchronous** Table 1 methods ([`Session::ins_edge`] etc.)
-///   submit one op and block for its reply — the paper's emulated
-///   synchronous users. The wait is spin-then-park **on the calling
-///   thread**: it probes the reply channel (lock-free, yielding every
-///   64 probes) for at most [`SYNC_REPLY_SPIN`] before it sleeps, so
-///   the reply of an inline epoch is picked up without a sleep on this
-///   side or a wake-up syscall on the coordinator's. Waits that outlast
-///   the spin are counted in `core.sync_reply_parks`;
+///   submit one op and return its reply — the paper's emulated
+///   synchronous users. A single update is classified **on the calling
+///   thread**, and a safe one is applied there too (§4: safe updates
+///   change no result, so they commute with each other and may run
+///   anywhere that unsafe ones are excluded): under the shared side of
+///   the store's gate the caller revalidates and applies it, takes its
+///   version and stamps it into the server's inline log, which the
+///   coordinator's next *cut* — the gate's exclusive side, once per
+///   epoch — folds into that epoch's WAL record and feed record ahead
+///   of the unsafe phase. Nothing is handed to the coordinator and
+///   nothing comes back; `core.safe_inline` counts these updates.
+///   Everything else is *routed* through the coordinator as before: an
+///   unsafe or demoted update, a transaction, an update that needs the
+///   engine to grow, one that finds the gate held, and anything after
+///   shutdown or a failed log write. A routed op's wait is
+///   spin-then-park on the calling thread: it probes the reply channel
+///   (lock-free, yielding every 64 probes) for at most
+///   [`SYNC_REPLY_SPIN`] before it sleeps. Waits that outlast the spin
+///   are counted in `core.sync_reply_parks`;
 /// * the **pipelined** pair [`Session::submit_op_tagged`] /
 ///   [`Session::recv_tagged`] keeps many ops in flight, each stamped
 ///   with a caller-chosen tag that comes back with its reply. It never
 ///   spins: `recv_tagged` parks at once, and an event loop uses
 ///   [`Session::set_reply_waker`]. The network tier threads wire
-///   request-ids through here. Don't mix the two on one session while
-///   tagged ops are in flight — a synchronous call would steal the next
-///   tagged reply.
+///   request-ids through here, so every network update is routed.
+///   Don't mix the two on one session while tagged ops are in flight —
+///   a synchronous call would steal the next tagged reply, or apply
+///   ahead of them.
 ///
 /// No server thread spins — only the thread that owns a synchronous
 /// wait may burn its own time slice on it.
@@ -915,13 +988,18 @@ impl Session {
     }
 
     fn submit(&self, op: Op) -> Reply {
+        if let Op::Single(u) = &op {
+            if let Some(reply) = self.apply_inline(u) {
+                return reply;
+            }
+        }
         if let Err(e) = self.submit_op_tagged(op, 0) {
             return Reply {
                 version: self.shared.versioned.current_version(),
                 outcome: Err(e),
             };
         }
-        // Spin, then park. An inline epoch answers in a few
+        // Spin, then park. A small epoch answers in a few
         // microseconds; picking that reply up without sleeping saves
         // this thread's wake-up latency and — the reply channel only
         // notifies a parked receiver — the coordinator's wake-up
@@ -951,6 +1029,66 @@ impl Session {
                 outcome: Err(Error::Shutdown),
             },
         }
+    }
+
+    /// Classify `u` and, if it is safe, apply it on this thread (see the
+    /// type docs). `None` routes it: it is not safe, demoted on
+    /// revalidation, needs growth, or the gate is held or the write
+    /// path closed.
+    fn apply_inline(&self, u: &Update) -> Option<Reply> {
+        let start = Instant::now();
+        let shared = &*self.shared;
+        let versioned = &shared.versioned;
+        let engine = versioned.engine();
+        if vertex_bound([u]) as usize > engine.capacity() {
+            return None;
+        }
+        let _gate = versioned.try_shared()?;
+        // Read under the gate: the final cut, taken after the shutdown
+        // flag is raised, sees every update applied before it and none
+        // after it.
+        if shared.shutdown.load(Ordering::Acquire) || shared.write_stopped.load(Ordering::Acquire) {
+            return None;
+        }
+        if engine.classify(u) != Safety::Safe {
+            return None;
+        }
+        let reply = match engine.try_apply_safe_seq(u, &shared.seq) {
+            Ok((SafeApply::Applied, stamp)) => {
+                let version = versioned.advance(1);
+                let mut log = shared.inline_log.lock();
+                if shared.records {
+                    log.applied
+                        .push((stamp.expect("applied updates are stamped"), *u));
+                }
+                log.applied_ops += 1;
+                log.total += 1;
+                log.qualified += u64::from(start.elapsed() <= shared.latency_limit);
+                drop(log);
+                shared.stats.safe_executed.fetch_add(1, Ordering::Relaxed);
+                shared.stats.safe_inline.fetch_add(1, Ordering::Relaxed);
+                Reply {
+                    version,
+                    outcome: Ok(Applied {
+                        safety: Safety::Safe,
+                        result_changes: 0,
+                    }),
+                }
+            }
+            Ok((SafeApply::Demoted, _)) => {
+                shared.stats.demotions.fetch_add(1, Ordering::Relaxed);
+                return None;
+            }
+            Err(e) => {
+                shared.inline_log.lock().total += 1;
+                Reply {
+                    version: versioned.current_version(),
+                    outcome: Err(e),
+                }
+            }
+        };
+        shared.stats.update_latency.record(start.elapsed());
+        Some(reply)
     }
 
     /// Enqueue `op` without waiting for its reply. The reply surfaces
@@ -1140,6 +1278,11 @@ struct SafeOutcome {
     /// The demoted updates and everything gathered behind them on their
     /// sessions, in submission order, to requeue.
     leftovers: Vec<Envelope>,
+    /// Sessions whose multi-update transaction waits for the cut.
+    held: Vec<u64>,
+    /// Those transactions and everything gathered behind them on their
+    /// sessions, in submission order, for the cut to run.
+    deferred: Vec<Envelope>,
     /// Safe updates that completed within the latency limit.
     qualified: u64,
     /// Safe updates served (applied or errored).
@@ -1153,19 +1296,35 @@ impl SafeOutcome {
         self.applied_ops += other.applied_ops;
         self.stopped.extend(other.stopped);
         self.leftovers.extend(other.leftovers);
+        self.held.extend(other.held);
+        self.deferred.extend(other.deferred);
         self.qualified += other.qualified;
         self.total += other.total;
     }
 }
 
 /// Serially drain one shard's part of the epoch's safe prefix into
-/// `out`. Runs concurrently with the other shards — safe updates
-/// commute, and [`Engine::try_apply_safe`] revalidates under the store's
-/// own locks — while per-session order holds because all of a session's
-/// envelopes are on one part, in submission order. A demotion stops
-/// that session: the demoted update and the session's later envelopes
-/// go back to its queue via `leftovers`; everyone else's are applied.
-fn drain_shard(shared: &Shared, part: &mut Vec<Envelope>, limit: Duration, out: &mut SafeOutcome) {
+/// `out`. Runs concurrently with the other shards and with callers
+/// applying on their own threads — safe updates commute, and
+/// [`Engine::try_apply_safe`] revalidates under the store's own locks —
+/// while per-session order holds because all of a session's envelopes
+/// are on one part, in submission order. A demotion stops that session:
+/// the demoted update and the session's later envelopes go back to its
+/// queue via `leftovers`; everyone else's are applied.
+///
+/// A transaction of more than one update may roll back, and a rollback
+/// beside other appliers can undo an update one of them just relied on
+/// (a duplicate edge another session's delete counted on). Unless
+/// `in_cut` — the coordinator holds the gate exclusively and nothing
+/// else applies — such a transaction and its session's later envelopes
+/// are handed to the cut via `deferred`.
+fn drain_shard(
+    shared: &Shared,
+    part: &mut Vec<Envelope>,
+    limit: Duration,
+    out: &mut SafeOutcome,
+    in_cut: bool,
+) {
     if part.is_empty() {
         return;
     }
@@ -1173,6 +1332,13 @@ fn drain_shard(shared: &Shared, part: &mut Vec<Envelope>, limit: Duration, out: 
     for env in part.drain(..) {
         if out.stopped.contains(&env.session) {
             out.leftovers.push(env);
+            continue;
+        }
+        if !in_cut && (env.op.updates().len() > 1 || out.held.contains(&env.session)) {
+            if !out.held.contains(&env.session) {
+                out.held.push(env.session);
+            }
+            out.deferred.push(env);
             continue;
         }
         match execute_safe(shared, &env, &mut out.applied) {
@@ -1310,10 +1476,17 @@ fn run_epochs(
                 && gather.is_drained()
                 && shared.injector.is_empty()
             {
-                refuse_latecomers(shared, &mut inbox);
-                return;
+                if !inline_pending(shared, true) {
+                    refuse_latecomers(shared, &mut inbox);
+                    return;
+                }
+                break;
             }
             shared.injector.wait(config.idle_poll);
+            // Idle, but callers applied something: cut it.
+            if shared.injector.is_empty() && inline_pending(shared, false) {
+                break;
+            }
         }
         if let Some(cause) = &wal_failure {
             // Refuse what was gathered. A session's safe prefix precedes
@@ -1362,7 +1535,7 @@ fn run_epochs(
                     let (shared, mut part) = (Arc::clone(shared), std::mem::take(part));
                     move || {
                         let mut out = SafeOutcome::default();
-                        drain_shard(&shared, &mut part, limit, &mut out);
+                        drain_shard(&shared, &mut part, limit, &mut out, false);
                         out
                     }
                 })
@@ -1371,7 +1544,7 @@ fn run_epochs(
             // report before the serial unsafe phase may touch results.
             let (t_barrier, outs) = pool.fork_join(jobs, || {
                 for part in &mut buf.safe_parts {
-                    drain_shard(shared, part, limit, &mut safe);
+                    drain_shard(shared, part, limit, &mut safe, false);
                 }
                 Instant::now()
             });
@@ -1381,10 +1554,38 @@ fn run_epochs(
             for out in outs {
                 safe.absorb(out);
             }
-            // Demoted suffixes go back to the front of their queues,
-            // with their sessions' unsafe updates behind them.
-            gather.requeue(safe.leftovers, safe.stopped, &mut buf.unsafe_queue);
         }
+
+        // ---- Cut ---------------------------------------------------
+        // The gate's exclusive side, held through the unsafe phase, the
+        // WAL append, the feed publish and any checkpoint: no caller is
+        // mid-apply, so the inline log holds exactly what callers
+        // applied since the last cut, all of it versioned before this
+        // epoch's unsafe groups — every record, feed cut and snapshot
+        // closes on one boundary, safe versions first. With no record to
+        // close and nothing to run that callers must not overlap, the
+        // cut only collects the callers' counts.
+        let exclude = shared.records || !buf.unsafe_queue.is_empty() || !safe.deferred.is_empty();
+        let gate = exclude.then(|| shared.versioned.exclusive());
+        let inline = std::mem::take(&mut *shared.inline_log.lock());
+        let cut_inline = inline.total;
+        safe.absorb(inline);
+        if !safe.deferred.is_empty() {
+            // Multi-update safe transactions, after the fork-join and
+            // with callers shut out: nothing can rely on what a
+            // rollback undoes (see `drain_shard`).
+            let t_txns = Instant::now();
+            let mut deferred = std::mem::take(&mut safe.deferred);
+            drain_shard(shared, &mut deferred, limit, &mut safe, true);
+            phases[Phase::SafeExecute as usize] += t_txns.elapsed().as_nanos() as u64;
+        }
+        // Demoted suffixes go back to the front of their queues, with
+        // their sessions' unsafe updates behind them.
+        gather.requeue(
+            std::mem::take(&mut safe.leftovers),
+            std::mem::take(&mut safe.stopped),
+            &mut buf.unsafe_queue,
+        );
 
         // ---- Unsafe phase ------------------------------------------
         let t_unsafe = Instant::now();
@@ -1419,7 +1620,6 @@ fn run_epochs(
         let t_serial = Instant::now();
         while let Some(env) = buf.unsafe_queue.pop_front() {
             shared.stats.unsafe_wait.record(env.enqueued.elapsed());
-            let _gate = shared.versioned.exclusive();
             let result = apply_unsafe_op(shared, &env, false);
             finish_unsafe(shared, &env, result, &mut unsafe_groups, &mut scheduler);
         }
@@ -1433,12 +1633,13 @@ fn run_epochs(
         // ---- Epoch end: merged WAL group commit, feed, scheduler ---
         // Sort the safe log by the global application-order stamp
         // (drawn inside the store locks that serialize same-edge
-        // operations); unsafe updates executed serially after the shard
-        // barrier, so appending their groups in order completes the
-        // exact cross-shard execution order.
+        // operations); unsafe updates executed serially after the cut,
+        // so appending their groups in order completes the exact
+        // execution order.
         safe.applied.sort_unstable_by_key(|&(stamp, _)| stamp);
         let safe_updates: Vec<Update> = safe.applied.iter().map(|&(_, u)| u).collect();
-        if let Some(w) = wal.as_mut() {
+        let mut appended = false;
+        if let Some(w) = wal.as_mut().filter(|_| wal_failure.is_none()) {
             let total = safe_updates.len() + unsafe_groups.iter().map(Vec::len).sum::<usize>();
             if total > 0 {
                 let t_wal = Instant::now();
@@ -1455,21 +1656,18 @@ fn run_epochs(
                 for group in &unsafe_groups {
                     updates.extend_from_slice(group);
                 }
+                #[allow(unused_mut)]
                 let mut written = w.append(&updates);
                 #[cfg(test)]
                 if shared.fail_wal_append.load(Ordering::Acquire) {
                     written = Err(Error::Wal("injected append failure".into()));
                 }
-                // Group commit: fsync at most every wal_sync_interval.
-                if written.is_ok() && last_wal_sync.elapsed() >= config.wal_sync_interval {
-                    written = w.sync();
-                    last_wal_sync = Instant::now();
-                }
                 // No retry: a partial append leaves a torn tail, which
-                // recovery truncates.
-                if let Err(e) = written {
-                    shared.stats.wal_errors.fetch_add(1, Ordering::Relaxed);
-                    wal_failure = Some(format!("write path stopped by a failed log write ({e})"));
+                // recovery truncates. Raised under the gate, the stop is
+                // seen by every caller that applies after this record.
+                match written {
+                    Ok(()) => appended = true,
+                    Err(e) => wal_failure = Some(stop_writes(shared, e)),
                 }
                 let wal_ns = t_wal.elapsed().as_nanos() as u64;
                 let rotate_ns = w.rotate_ns() - rotate_before;
@@ -1494,11 +1692,11 @@ fn run_epochs(
         }
 
         // ---- Checkpoint (time- or pressure-triggered) --------------
-        // After the feed publish, so the snapshot's embedded cut and
-        // the engine state it captures agree. A failed checkpoint is
-        // not fatal: the log stays fully usable and the next trigger
-        // retries. A failed append or fsync is: nothing is written
-        // after it.
+        // After the feed publish and inside the cut, so the snapshot's
+        // embedded cut, its version and the engine state it captures
+        // agree. A failed checkpoint is not fatal: the log stays fully
+        // usable and the next trigger retries. A failed append or fsync
+        // is: nothing is written after it.
         if let Some(w) = wal.as_mut().filter(|_| wal_failure.is_none()) {
             let due_time = config
                 .checkpoint_interval
@@ -1512,6 +1710,22 @@ fn run_epochs(
                 }
                 phases[Phase::WalCheckpoint as usize] += t_ckpt.elapsed().as_nanos() as u64;
                 last_checkpoint = Instant::now();
+            }
+        }
+        drop(gate);
+
+        // Group commit: fsync at most every wal_sync_interval, outside
+        // the cut — readers and callers do not wait on it.
+        if let Some(w) = wal.as_mut().filter(|_| appended && wal_failure.is_none()) {
+            if last_wal_sync.elapsed() >= config.wal_sync_interval {
+                let t_sync = Instant::now();
+                if let Err(e) = w.sync() {
+                    wal_failure = Some(stop_writes(shared, e));
+                }
+                last_wal_sync = Instant::now();
+                let sync_ns = t_sync.elapsed().as_nanos() as u64;
+                phases[Phase::WalAppend as usize] += sync_ns;
+                shared.stats.wal_ns.fetch_add(sync_ns, Ordering::Relaxed);
             }
         }
         if let (Some(w), Some((seg, recs, lag))) = (wal.as_ref(), wal_gauges.as_ref()) {
@@ -1574,15 +1788,17 @@ fn run_epochs(
         }
         phases[Phase::Finalize as usize] += t_finalize.elapsed().as_nanos() as u64;
 
-        // Trace only epochs that executed work: idle loops would drown
-        // the rings and the per-phase histograms in structural zeros.
-        if buf.safe_count > 0 || had_unsafe {
+        // Trace only epochs that executed or cut work: idle loops would
+        // drown the rings and the per-phase histograms in structural
+        // zeros.
+        if buf.safe_count > 0 || had_unsafe || cut_inline > 0 {
             shared.tracer.record(epoch_no, &phases);
         }
 
         if shared.shutdown.load(Ordering::Acquire)
             && gather.is_drained()
             && shared.injector.is_empty()
+            && !inline_pending(shared, true)
         {
             // The final WAL flush (or its deliberate omission under
             // `Server::crash`) happens in `coordinator_loop` once this
@@ -1591,6 +1807,28 @@ fn run_epochs(
             return;
         }
     }
+}
+
+/// Whether callers served anything since the last cut. `settled` asks
+/// for the shutdown path: only what a record must carry counts, and the
+/// gate's exclusive side is taken to ask, so no caller is mid-apply — a
+/// settled `false` is final, because a caller checks the shutdown flag
+/// under the shared side. Unsettled, it is a hint for the idle loop.
+fn inline_pending(shared: &Shared, settled: bool) -> bool {
+    if settled && !shared.records {
+        return false;
+    }
+    let _gate = settled.then(|| shared.versioned.exclusive());
+    shared.inline_log.lock().total > 0
+}
+
+/// Stop the write path after a failed append or fsync: count it, and
+/// send every later update — callers' included — to the coordinator,
+/// which refuses it with the returned cause.
+fn stop_writes(shared: &Shared, e: Error) -> String {
+    shared.stats.wal_errors.fetch_add(1, Ordering::Relaxed);
+    shared.write_stopped.store(true, Ordering::Release);
+    format!("write path stopped by a failed log write ({e})")
 }
 
 /// The coordinator's last act: close the injector and refuse whatever
@@ -1647,8 +1885,8 @@ fn run_unsafe_parallel(
     let t_probe = Instant::now();
 
     // Stage 1: probe affected areas in parallel. Probes are read-only
-    // component walks and the structure is quiescent between the safe
-    // barrier and the first unsafe application, so no gate is needed.
+    // component walks, and the structure is quiescent: the shard
+    // barrier has passed and the cut shuts callers out.
     let mut chunks: Vec<Vec<(usize, Vec<Update>)>> = (0..executors).map(|_| Vec::new()).collect();
     for (i, env) in queue.iter().enumerate() {
         chunks[i % executors].push((i, env.op.updates().to_vec()));
@@ -1709,14 +1947,12 @@ fn run_unsafe_parallel(
         return false; // everything overlaps: parallelism buys nothing
     }
 
-    // Committed. The whole phase runs under one exclusive query gate
-    // (the serial path gates per operation); waits are recorded here —
-    // execution starts now for every pending operation.
+    // Committed, inside the cut's exclusive gate; waits are recorded
+    // here — execution starts now for every pending operation.
     let mut envs: Vec<Option<Envelope>> = queue.drain(..).map(Some).collect();
     for env in envs.iter().flatten() {
         shared.stats.unsafe_wait.record(env.enqueued.elapsed());
     }
-    let gate = shared.versioned.exclusive();
     let t_exec = Instant::now();
 
     // Stage 2: longest-group-first greedy assignment over the
@@ -1765,7 +2001,6 @@ fn run_unsafe_parallel(
         finish_unsafe(shared, &env, result, unsafe_groups, scheduler);
     }
     phases[Phase::Finalize as usize] += t_finalize.elapsed().as_nanos() as u64;
-    drop(gate);
     shared
         .stats
         .unsafe_parallel_groups
@@ -1827,15 +2062,24 @@ fn execute_safe(shared: &Shared, env: &Envelope, log: &mut Vec<(u64, Update)>) -
         let failure = match shared.versioned.engine().try_apply_safe_seq(u, &shared.seq) {
             Ok((SafeApply::Applied, stamp)) => {
                 log.push((stamp.expect("applied updates are stamped"), *u));
+                #[cfg(test)]
+                if log.len() - start < env.op.updates().len() {
+                    let gap = shared.txn_gap.lock().clone();
+                    if let Some(gap) = gap {
+                        gap();
+                    }
+                }
                 continue;
             }
             Ok((SafeApply::Demoted, _)) => None,
             Err(e) => Some(e),
         };
-        rollback_structure(shared, &log[start..]);
+        let undone = rollback_structure(shared, &log[start..]);
         log.truncate(start);
-        let Some(e) = failure else {
-            return SafeExec::Demoted;
+        let e = match (undone, failure) {
+            (Err(corrupt), _) => corrupt,
+            (Ok(()), Some(e)) => e,
+            (Ok(()), None) => return SafeExec::Demoted,
         };
         send_reply(
             shared,
@@ -1865,10 +2109,32 @@ fn execute_safe(shared: &Shared, env: &Envelope, log: &mut Vec<(u64, Update)>) -
     SafeExec::Applied
 }
 
-fn rollback_structure(shared: &Shared, applied: &[(u64, Update)]) {
+/// Undo a safe transaction's applied prefix with inverse updates,
+/// newest first. Safe updates changed no result, so the structure is
+/// all there is to put back. Runs only in the cut (see [`drain_shard`]),
+/// where no other applier can have relied on the prefix. An inverse
+/// that fails leaves a store matching no prefix of the transaction: it
+/// is counted in `core.safe_rollback_failures` and reported as
+/// [`Error::Corruption`].
+fn rollback_structure(shared: &Shared, applied: &[(u64, Update)]) -> Result<()> {
     for (_, u) in applied.iter().rev() {
-        let _ = shared.versioned.engine().apply_structure(&inverse(u));
+        #[allow(unused_mut)]
+        let mut outcome = shared.versioned.engine().apply_structure(&inverse(u));
+        #[cfg(test)]
+        if shared.fail_rollback.load(Ordering::Acquire) {
+            outcome = Err(Error::EdgeNotFound(Edge::new(0, 0, 0)));
+        }
+        if let Err(e) = outcome {
+            shared
+                .stats
+                .safe_rollback_failures
+                .fetch_add(1, Ordering::Relaxed);
+            return Err(Error::Corruption(format!(
+                "safe transaction rollback failed undoing {u:?}: {e}"
+            )));
+        }
     }
+    Ok(())
 }
 
 /// Apply one operation's updates with full recomputation but **no**
@@ -1929,12 +2195,12 @@ fn rollback_unsafe(shared: &Shared, applied: &[Update], sets: &[ChangeSet]) -> R
 
 /// The coordinator-only tail of one unsafe operation, under the
 /// exclusive gate and in arrival order: commit its version group, count
-/// it and reply. Execution order here *is* stamp order — every
-/// safe-phase stamp precedes it (the shard barrier ran), so appending
-/// the groups after the sorted safe log reproduces the global
-/// application order exactly. Each successful operation is one version
-/// group in the replication feed (an empty transaction still bumps the
-/// version, so it ships as an empty group).
+/// it and reply. Execution order here *is* stamp order — every safe
+/// stamp precedes it (the shard barrier ran, and the cut shut callers
+/// out), so appending the groups after the sorted safe log reproduces
+/// the global application order exactly. Each successful operation is
+/// one version group in the replication feed (an empty transaction
+/// still bumps the version, so it ships as an empty group).
 fn finish_unsafe(
     shared: &Shared,
     env: &Envelope,
@@ -2121,7 +2387,13 @@ mod tests {
             assert_eq!(srv.engine().value(0, i), i);
         }
         let stats = srv.stats();
-        assert!(stats.epochs.load(Ordering::Relaxed) > 0);
+        // The sessions applied their safe updates themselves; the
+        // coordinator cuts what they logged after its next idle poll.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while stats.epochs.load(Ordering::Relaxed) == 0 {
+            assert!(Instant::now() < deadline, "no epoch ran");
+            std::thread::sleep(Duration::from_millis(1));
+        }
         assert!(stats.safe_executed.load(Ordering::Relaxed) > 0);
         StdArc::try_unwrap(srv).ok().unwrap().shutdown();
     }
@@ -2436,6 +2708,91 @@ mod tests {
         srv.shutdown();
     }
 
+    /// A safe transaction that fails after its first constituent rolls
+    /// the prefix back, and no other applier may run in between. Tree
+    /// edge `e = 1→2` has one copy. The transaction inserts a duplicate
+    /// (safe: it improves nothing), then deletes a missing edge (safe,
+    /// and it fails). In the gap between the two, another session's
+    /// synchronous delete of `e` would find two copies and apply as
+    /// safe; the rollback would then delete the last copy while 2 still
+    /// hangs off it. The transaction runs in the cut, so the delete
+    /// waits it out, finds one copy and is unsafe: 2 ends unreachable.
+    #[test]
+    fn safe_txn_rollback_never_runs_beside_another_applier() {
+        let srv = bfs_server(16);
+        srv.load_edges(&[(0, 1, 0), (1, 2, 0)]);
+        let e = Edge::new(1, 2, 0);
+        let (paused_tx, paused_rx) = std::sync::mpsc::channel();
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let go_rx = Mutex::new(go_rx);
+        *srv.shared.txn_gap.lock() = Some(Arc::new(move || {
+            let _ = paused_tx.send(());
+            let _ = go_rx.lock().recv();
+        }));
+        let txn = srv.session();
+        let missing = Edge::new(5, 6, 0);
+        let op = Op::Txn(vec![Update::InsEdge(e), Update::DelEdge(missing)]);
+        txn.submit_op_tagged(op, 1).unwrap();
+        paused_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the transaction reached its gap");
+
+        let other = srv.session();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let deleter = std::thread::spawn(move || {
+            let _ = done_tx.send(other.del_edge(e));
+        });
+        // Applied on its own thread, the delete is back within this.
+        let early = done_rx.recv_timeout(Duration::from_millis(200)).ok();
+        go_tx.send(()).unwrap();
+        let (_, reply) = txn.recv_tagged().unwrap();
+        assert!(
+            matches!(reply.outcome, Err(Error::EdgeNotFound(_))),
+            "{:?}",
+            reply.outcome
+        );
+        let del = early.unwrap_or_else(|| done_rx.recv().unwrap());
+        deleter.join().unwrap();
+        *srv.shared.txn_gap.lock() = None;
+
+        assert!(del.outcome.is_ok(), "{:?}", del.outcome);
+        assert_eq!(srv.engine().with_store(|st| st.edge_count(e)), 0);
+        assert_eq!(
+            srv.engine().parent(0, 2),
+            None,
+            "2 hangs off a deleted edge"
+        );
+        assert_eq!(srv.engine().value(0, 2), u64::MAX);
+        srv.shutdown();
+    }
+
+    /// A safe transaction's rollback undoes its prefix; an inverse that
+    /// fails is counted and answered as `Corruption`, not dropped.
+    #[test]
+    fn failed_safe_rollback_is_counted_as_corruption() {
+        let srv = bfs_server(16);
+        srv.load_edges(&[(0, 1, 0), (1, 2, 0)]);
+        let s = srv.session();
+        let chord = Edge::new(2, 1, 0);
+        let txn = || {
+            let missing = Update::DelEdge(Edge::new(5, 6, 0));
+            s.txn_updates(vec![Update::InsEdge(chord), missing])
+        };
+        let r = txn();
+        assert!(matches!(r.outcome, Err(Error::EdgeNotFound(_))), "{r:?}");
+        assert_eq!(srv.engine().with_store(|st| st.edge_count(chord)), 0);
+
+        srv.shared.fail_rollback.store(true, Ordering::Release);
+        match txn().outcome {
+            Err(Error::Corruption(msg)) => assert!(msg.contains("rollback"), "{msg}"),
+            other => panic!("expected Corruption, got {other:?}"),
+        }
+        srv.shared.fail_rollback.store(false, Ordering::Release);
+        let failures = srv.metrics().counter("core.safe_rollback_failures");
+        assert_eq!(failures.load(Ordering::Relaxed), 1);
+        srv.shutdown();
+    }
+
     /// The parallel unsafe phase on disjoint single-session traffic:
     /// every reply, version and value must match the serial semantics,
     /// and with truly disjoint regions the parallel-groups counter
@@ -2600,7 +2957,13 @@ mod tests {
         let stats = srv.stats();
         let queue_ns = stats.queue_ns.load(Ordering::Relaxed);
         let mut out = SafeOutcome::default();
-        drain_shard(&srv.shared, &mut part, Duration::from_secs(60), &mut out);
+        drain_shard(
+            &srv.shared,
+            &mut part,
+            Duration::from_secs(60),
+            &mut out,
+            false,
+        );
 
         assert!(part.is_empty());
         assert_eq!(out.stopped, [A]);

@@ -11,7 +11,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use risgraph_common::ids::{Edge, Update, VersionId, VertexId};
 use risgraph_common::{Error, Result};
 use risgraph_storage::{AnyStore, BackendKind, StoreConfig};
@@ -46,9 +46,11 @@ pub struct Versioned {
     engine: Engine<AnyStore>,
     history: Vec<Mutex<HistoryStore>>,
     version: AtomicU64,
-    /// Held exclusively while results change — an unsafe operation on
-    /// the leader, a feed record on a follower — so a point-in-time read
-    /// never observes half of a version group.
+    /// Held exclusively while results change — the leader's cut, a feed
+    /// record on a follower — so a point-in-time read never observes
+    /// half of a version group. On the leader a caller applying a safe
+    /// update on its own thread holds the shared side (see
+    /// [`Versioned::try_shared`]).
     gate: RwLock<()>,
     /// Ceiling on on-demand growth (`ServerConfig::max_capacity`): an
     /// update naming a vertex id at or beyond it, and beyond the current
@@ -163,6 +165,15 @@ impl Versioned {
     /// result write of a version group to its [`Versioned::commit`].
     pub(crate) fn exclusive(&self) -> RwLockWriteGuard<'_, ()> {
         self.gate.write()
+    }
+
+    /// The gate's shared side, unless a writer holds it or waits for
+    /// it. A caller applying a safe update on its own thread holds this
+    /// across the apply, its version and its log entry, so an exclusive
+    /// holder never sees one without the others; `None` sends the
+    /// update to the coordinator instead of waiting.
+    pub(crate) fn try_shared(&self) -> Option<RwLockReadGuard<'_, ()>> {
+        self.gate.try_read()
     }
 
     /// Hand out `n` versions that changed no result (safe updates, §4);

@@ -74,6 +74,17 @@ impl<T: ?Sized> RwLock<T> {
         self.0.read().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// Attempt to acquire a shared read lock without blocking: `None`
+    /// while a writer holds the lock (or, `std`'s lock preferring
+    /// writers, waits for it).
+    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
+        match self.0.try_read() {
+            Ok(g) => Some(g),
+            Err(std::sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
+            Err(std::sync::TryLockError::WouldBlock) => None,
+        }
+    }
+
     /// Acquire an exclusive write lock.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         self.0.write().unwrap_or_else(PoisonError::into_inner)
@@ -103,6 +114,18 @@ mod tests {
         assert_eq!(l.read().len(), 2);
         l.write().push(3);
         assert_eq!(l.into_inner(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn try_read_fails_only_while_a_writer_holds_the_lock() {
+        let l = RwLock::new(0);
+        {
+            let _w = l.write();
+            assert!(l.try_read().is_none());
+        }
+        let r = l.try_read().expect("no writer");
+        assert!(l.try_read().is_some(), "readers share the lock");
+        assert_eq!(*r, 0);
     }
 
     #[test]

@@ -471,9 +471,10 @@ fn run_serve(args: Args) -> ! {
             s.unsafe_serial_fallbacks.load(Ordering::Relaxed),
         );
         println!(
-            "hand-offs: epochs_inline={} sync_reply_parks={}",
+            "hand-offs: epochs_inline={} sync_reply_parks={} safe_inline={}",
             s.epochs_inline.load(Ordering::Relaxed),
             s.sync_reply_parks.load(Ordering::Relaxed),
+            s.safe_inline.load(Ordering::Relaxed),
         );
         let registry = net.server().metrics();
         println!(

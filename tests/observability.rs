@@ -365,10 +365,12 @@ fn history_footprint_gauges_rise_under_unsafe_traffic_and_fall_after_release() {
 }
 
 /// The hand-offs of the synchronous round trip are countable: one
-/// synchronous session over safe churn keeps every epoch on the
-/// coordinator (`core.epochs_inline == core.epochs`) and picks almost
-/// every reply up within its spin (`core.sync_reply_parks` stays far
-/// below the update count), while one update that relabels a long chain
+/// synchronous session over safe churn applies every update on its own
+/// thread (`core.safe_inline` is the update count), so the coordinator
+/// runs far fewer epochs than there are updates — each one only cuts
+/// what the caller applied, on its own (`core.epochs_inline ==
+/// core.epochs`) — and no reply is waited for (`core.sync_reply_parks`
+/// stays 0), while one update that relabels a long chain is routed,
 /// outlasts the spin and is counted as a park.
 #[test]
 fn synchronous_round_trip_counts_inline_epochs_and_parks() {
@@ -393,6 +395,7 @@ fn synchronous_round_trip_counts_inline_epochs_and_parks() {
             counter(&snap, "core.epochs").expect("core.epochs"),
             counter(&snap, "core.epochs_inline").expect("core.epochs_inline"),
             counter(&snap, "core.sync_reply_parks").expect("core.sync_reply_parks"),
+            counter(&snap, "core.safe_inline").expect("core.safe_inline"),
         )
     };
 
@@ -400,40 +403,40 @@ fn synchronous_round_trip_counts_inline_epochs_and_parks() {
         let applied = session.submit_update(u).outcome.expect("safe churn");
         assert_eq!(applied.safety, Safety::Safe);
     }
-    // The coordinator counts an epoch as it ends, which is after the
-    // epoch's reply went out: let it finish the last one.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let (epochs, inline, parks_safe) = loop {
-        let seen = counters();
-        if seen.0 >= UPDATES {
-            break seen;
-        }
-        assert!(Instant::now() < deadline, "epoch {} never ended", seen.0);
-        std::thread::yield_now();
-    };
-    assert_eq!(epochs, UPDATES, "one update in flight: one epoch each");
-    assert_eq!(inline, epochs, "a one-update epoch was dispatched");
+    // Counted before the reply: no wait for the coordinator.
+    let (epochs, inline, parks_safe, safe_inline) = counters();
+    assert_eq!(safe_inline, UPDATES, "every safe update applied inline");
+    assert_eq!(parks_safe, 0, "no inline update waited for a reply");
     assert!(
-        parks_safe < UPDATES / 4,
-        "{parks_safe} of {UPDATES} synchronous safe updates parked"
+        epochs < UPDATES / 4,
+        "{epochs} epochs for {UPDATES} updates applied on the caller's thread"
+    );
+    assert_eq!(
+        inline, epochs,
+        "an epoch with nothing routed was dispatched"
     );
 
     // Cutting the chain's first edge relabels every vertex behind it.
     let cut = session.submit_update(&unsafe_chain_streams(&cfg)[0][0]);
     assert_eq!(cut.outcome.expect("cut").safety, Safety::Unsafe);
-    let (_, _, parks) = counters();
+    let (_, _, parks, safe_inline) = counters();
     assert_eq!(parks, parks_safe + 1, "a 20 000-vertex relabel parks");
+    assert_eq!(safe_inline, UPDATES, "an unsafe update is routed");
 
-    // Both are in the Prometheus exposition as well, with the value
-    // the snapshot has.
-    let text = srv.metrics().render_prometheus();
+    // All three are in the Prometheus exposition as well, with the
+    // value the snapshot has (read after shutdown: the coordinator
+    // counts an epoch after its reply went out).
+    let metrics = Arc::clone(srv.metrics());
+    srv.shutdown();
+    let epochs_inline = counter(&metrics.snapshot(), "core.epochs_inline").expect("epochs_inline");
+    let text = metrics.render_prometheus();
     for line in [
-        format!("risgraph_core_epochs_inline {}", UPDATES + 1),
+        format!("risgraph_core_epochs_inline {epochs_inline}"),
         format!("risgraph_core_sync_reply_parks {parks}"),
+        format!("risgraph_core_safe_inline {UPDATES}"),
     ] {
         assert!(text.lines().any(|l| l == line), "no `{line}` in:\n{text}");
     }
-    srv.shutdown();
 }
 
 /// A star around vertex 0: every duplicate insert of one of its edges,
@@ -448,7 +451,9 @@ fn star_preload(leaves: u64) -> Vec<(u64, u64, u64)> {
 /// for every one of them — and then one of them submits 2 000 more, one
 /// at a time. A gather that walked its whole table would look at
 /// ≈ 4 096 queues per pass (≈ 16 million visits); looking only where
-/// something arrived is one visit per update.
+/// something arrived is one visit per update. Each update goes through
+/// the gather — tagged, one in flight, as the network tier submits —
+/// since a synchronous caller applies a safe update itself.
 #[test]
 fn gather_visits_grow_with_updates_not_with_open_sessions() {
     const SESSIONS: u64 = 4_096;
@@ -462,11 +467,16 @@ fn gather_visits_grow_with_updates_not_with_open_sessions() {
     let sessions: Vec<Session> = (0..SESSIONS).map(|_| srv.session()).collect();
     let churn = safe_churn(&preload, (SESSIONS + SOLO) as usize, 11);
     let (one_each, solo) = churn.split_at(SESSIONS as usize);
+    let round_trip = |session: &Session, u: &Update| {
+        session.submit_update_tagged(u, 0).expect("submit");
+        let (_, reply) = session.recv_tagged().expect("reply");
+        reply.outcome.expect("safe churn");
+    };
     for (session, u) in sessions.iter().zip(one_each) {
-        session.submit_update(u).outcome.expect("safe churn");
+        round_trip(session, u);
     }
     for u in &solo[..SOLO as usize] {
-        sessions[0].submit_update(u).outcome.expect("safe churn");
+        round_trip(&sessions[0], u);
     }
 
     // An epoch is counted as it ends, after its reply went out.

@@ -26,6 +26,9 @@
 //! synchronously *and* fully pipelined through serial and sharded
 //! servers. The registry's `core.epochs_inline` counter proves which
 //! path each server took, and all four must be observably equivalent.
+//! A synchronous session also applies its safe updates on its own
+//! thread, which a pipelined one never does (`core.safe_inline`), so
+//! the twins compare caller-thread apply with coordinator apply too.
 //!
 //! The `*_big` cases are `#[ignore]`d and run in the dedicated slow CI
 //! job (`cargo test --release -- --ignored`).
@@ -150,15 +153,18 @@ fn with_safe_tail(streams: &[Vec<Update>]) -> Vec<Vec<Update>> {
 }
 
 /// Shut `server` down and return `(epochs, epochs that ran their safe
-/// phase inline)`. Read after the coordinator has exited: it counts an
-/// epoch when the epoch ends, which is after its last reply went out.
-fn shutdown_counting_epochs(server: Arc<Server>) -> (u64, u64) {
+/// phase inline, safe updates applied on the caller's thread)`. Read
+/// after the coordinator has exited: it counts an epoch when the epoch
+/// ends, which is after its last reply went out.
+fn shutdown_counting_epochs(server: Arc<Server>) -> (u64, u64, u64) {
     let epochs = Arc::clone(&server.stats().epochs);
     let inline = Arc::clone(&server.stats().epochs_inline);
+    let safe_inline = Arc::clone(&server.stats().safe_inline);
     Arc::try_unwrap(server).ok().unwrap().shutdown();
     (
         epochs.load(Ordering::Relaxed),
         inline.load(Ordering::Relaxed),
+        safe_inline.load(Ordering::Relaxed),
     )
 }
 
@@ -203,14 +209,21 @@ impl Run {
     /// pipelined server with more than one shard must have sent some
     /// epoch through dispatch and barrier, and every other server must
     /// have run every epoch inline (one update in flight per session
-    /// is under any bound; one shard has nobody to dispatch to).
+    /// is under any bound; one shard has nobody to dispatch to). A
+    /// synchronous server must have applied safe updates on the
+    /// callers' threads, and a pipelined one none.
     fn finish(self, label: &str) {
         let name = self.name();
-        let (epochs, inline) = shutdown_counting_epochs(self.server);
+        let (epochs, inline, safe_inline) = shutdown_counting_epochs(self.server);
         assert_eq!(
             epochs > inline,
             self.pipelined && self.shards > 1,
             "{label} [{name}]: {inline} of {epochs} epochs ran inline"
+        );
+        assert_eq!(
+            safe_inline > 0,
+            !self.pipelined,
+            "{label} [{name}]: {safe_inline} safe updates applied on the caller's thread"
         );
     }
 }
@@ -609,7 +622,7 @@ fn trickle_and_burst_share_one_server() {
         capacity,
     );
     Arc::try_unwrap(serial).ok().unwrap().shutdown();
-    let (epochs, inline) = shutdown_counting_epochs(mixed);
+    let (epochs, inline, _) = shutdown_counting_epochs(mixed);
     assert!(inline > 0, "no inline epoch among {epochs}");
     assert!(epochs > inline, "no sharded epoch among {epochs}");
 }
