@@ -18,7 +18,9 @@
 //! * [`metrics`] — the unified observability layer: a lock-free
 //!   registry of named counters/gauges/histograms and the
 //!   epoch-pipeline tracer (per-phase span ring with slow-epoch
-//!   flagging) behind the `METRICS` opcode and Prometheus exposition.
+//!   flagging) behind the `METRICS` opcode and Prometheus exposition,
+//! * [`stripe`] — per-thread cache-padded cells behind the registry's
+//!   counters and histograms, so concurrent writers share no line.
 
 pub mod bitmap;
 pub mod crc;
@@ -29,6 +31,7 @@ pub mod metrics;
 pub mod protocol;
 pub mod sparse;
 pub mod stats;
+pub mod stripe;
 
 pub use error::{Error, Result};
 pub use ids::{EdgeId, Timestamp, VersionId, VertexId, Weight};

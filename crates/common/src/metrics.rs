@@ -6,7 +6,12 @@
 //! hand. The registry is lock-free on both sides: registration CAS-
 //! pushes onto an append-only linked list, updates are plain relaxed
 //! atomics on the returned handle, and [`Registry::snapshot`] walks
-//! the list without blocking writers. The snapshot is schema-less —
+//! the list without blocking writers. Counters and histograms are
+//! per-thread stripes ([`crate::stripe`]): an update writes only the
+//! calling thread's cache-padded cell, so two threads bumping one
+//! metric share no line, and a read sums (counters) or merges
+//! (histograms) the cells at snapshot time. Gauges are levels that
+//! move both ways and stay one cell. The snapshot is schema-less —
 //! `(name, typed value)` pairs — so the `METRICS` wire opcode and the
 //! Prometheus text exposition never break when a metric is added.
 //!
@@ -29,37 +34,56 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::stats::{AtomicHistogram, LatencyHistogram};
+use crate::stripe::Striped;
 
-/// A monotonically increasing named metric.
+/// A monotonically increasing named metric, striped per thread.
 ///
-/// The API deliberately mirrors [`AtomicU64`] (`fetch_add`, `load`, …
-/// with explicit orderings) so a struct field can change type from
-/// `AtomicU64` to `Arc<Counter>` without touching any call site.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
+/// The API mirrors [`AtomicU64`] (`fetch_add`, `load`, … with explicit
+/// orderings) so a struct field can change type from `AtomicU64` to
+/// `Arc<Counter>` with few call-site changes. The one difference:
+/// [`fetch_add`](Counter::fetch_add) adds to the calling thread's
+/// stripe, which cannot know the global previous value, so it returns
+/// nothing — a caller that needs a running number keeps its own.
+#[derive(Default)]
+pub struct Counter(Striped<AtomicU64>);
+
+impl std::fmt::Debug for Counter {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Counter")
+            .field(&self.load(Ordering::Relaxed))
+            .finish()
+    }
+}
 
 impl Counter {
     /// A counter starting at `v`.
     pub fn new(v: u64) -> Self {
-        Counter(AtomicU64::new(v))
+        let c = Counter::default();
+        c.store(v, Ordering::Relaxed);
+        c
     }
 
-    /// Add `v`, returning the previous value.
+    /// Add `v` to the calling thread's stripe.
     #[inline]
-    pub fn fetch_add(&self, v: u64, order: Ordering) -> u64 {
-        self.0.fetch_add(v, order)
+    pub fn fetch_add(&self, v: u64, order: Ordering) {
+        self.0.local().fetch_add(v, order);
     }
 
-    /// Current value.
+    /// Current value: the sum of the stripes.
     #[inline]
     pub fn load(&self, order: Ordering) -> u64 {
-        self.0.load(order)
+        self.0
+            .cells()
+            .fold(0, |sum, c| sum.wrapping_add(c.load(order)))
     }
 
-    /// Overwrite the value (used when re-seeding after recovery).
+    /// Overwrite the value (used when re-seeding after recovery): one
+    /// stripe takes `v`, every other stripe restarts from zero.
     #[inline]
     pub fn store(&self, v: u64, order: Ordering) {
-        self.0.store(v, order)
+        for (i, c) in self.0.cells().enumerate() {
+            c.store(if i == 0 { v } else { 0 }, order);
+        }
     }
 }
 
@@ -237,12 +261,13 @@ impl Registry {
         None
     }
 
-    fn register(&self, name: &str, fresh: Metric) -> Metric {
-        let mut node = Box::new(Node {
-            name: name.to_string(),
-            metric: fresh,
-            next: AtomicPtr::new(std::ptr::null_mut()),
-        });
+    /// Get `name`, or publish the metric `fresh` builds under it. The
+    /// search comes first, so a hit allocates nothing; `fresh` runs (and
+    /// the node and its name are allocated) at most once, on the first
+    /// miss, and a lost CAS reuses them.
+    fn register(&self, name: &str, kind: &'static str, fresh: impl FnOnce() -> Metric) -> Metric {
+        let mut fresh = Some(fresh);
+        let mut node: Option<Box<Node>> = None;
         // One snapshot of `head` serves both the search and the CAS: a
         // same-name node pushed after the search fails the CAS, so a
         // racing registration of one name wins exactly once. Nodes from
@@ -252,11 +277,10 @@ impl Registry {
         let mut searched: *mut Node = std::ptr::null_mut();
         loop {
             if let Some(existing) = Self::find_between(head, searched, name) {
-                if existing.kind() != node.metric.kind() {
+                if existing.kind() != kind {
                     panic!(
-                        "metric {name:?} already registered as a {}, requested as a {}",
+                        "metric {name:?} already registered as a {}, requested as a {kind}",
                         existing.kind(),
-                        node.metric.kind()
                     );
                 }
                 return existing;
@@ -264,8 +288,16 @@ impl Registry {
             searched = head;
             #[cfg(test)]
             tests::before_cas();
-            node.next.store(head, Ordering::Relaxed);
-            let raw = Box::into_raw(node);
+            let new = node.take().unwrap_or_else(|| {
+                let fresh = fresh.take().expect("built once, then reused");
+                Box::new(Node {
+                    name: name.to_string(),
+                    metric: fresh(),
+                    next: AtomicPtr::new(std::ptr::null_mut()),
+                })
+            });
+            new.next.store(head, Ordering::Relaxed);
+            let raw = Box::into_raw(new);
             match self
                 .head
                 .compare_exchange(head, raw, Ordering::AcqRel, Ordering::Acquire)
@@ -273,12 +305,12 @@ impl Registry {
                 // SAFETY: `raw` is the node just published; it lives
                 // until `Drop`.
                 Ok(_) => return unsafe { (*raw).metric.clone() },
-                // Someone else pushed first — reclaim our allocation
-                // and search what they pushed (it may be our name).
+                // Someone else pushed first — keep our allocation for a
+                // retry and search what they pushed (it may be our name).
                 Err(now) => {
                     // SAFETY: the CAS failed, so `raw` was never
                     // published and is still uniquely ours.
-                    node = unsafe { Box::from_raw(raw) };
+                    node = Some(unsafe { Box::from_raw(raw) });
                     head = now;
                 }
             }
@@ -287,7 +319,7 @@ impl Registry {
 
     /// Get or create the counter named `name`.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        match self.register(name, Metric::Counter(Arc::new(Counter::default()))) {
+        match self.register(name, "counter", || Metric::Counter(Arc::default())) {
             Metric::Counter(c) => c,
             _ => unreachable!("register() panics on kind mismatch"),
         }
@@ -295,7 +327,7 @@ impl Registry {
 
     /// Get or create the gauge named `name`.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        match self.register(name, Metric::Gauge(Arc::new(Gauge::default()))) {
+        match self.register(name, "gauge", || Metric::Gauge(Arc::default())) {
             Metric::Gauge(g) => g,
             _ => unreachable!("register() panics on kind mismatch"),
         }
@@ -303,7 +335,7 @@ impl Registry {
 
     /// Get or create the nanosecond histogram named `name`.
     pub fn histogram(&self, name: &str) -> Arc<AtomicHistogram> {
-        match self.register(name, Metric::Histogram(Arc::new(AtomicHistogram::new()))) {
+        match self.register(name, "histogram", || Metric::Histogram(Arc::default())) {
             Metric::Histogram(h) => h,
             _ => unreachable!("register() panics on kind mismatch"),
         }
@@ -315,7 +347,7 @@ impl Registry {
     /// actually registered, which is `c` unless the name already
     /// existed.
     pub fn adopt_counter(&self, name: &str, c: Arc<Counter>) -> Arc<Counter> {
-        match self.register(name, Metric::Counter(c)) {
+        match self.register(name, "counter", || Metric::Counter(c)) {
             Metric::Counter(c) => c,
             _ => unreachable!("register() panics on kind mismatch"),
         }
@@ -325,7 +357,7 @@ impl Registry {
     ///
     /// [`adopt_counter`]: Registry::adopt_counter
     pub fn adopt_gauge(&self, name: &str, g: Arc<Gauge>) -> Arc<Gauge> {
-        match self.register(name, Metric::Gauge(g)) {
+        match self.register(name, "gauge", || Metric::Gauge(g)) {
             Metric::Gauge(g) => g,
             _ => unreachable!("register() panics on kind mismatch"),
         }
@@ -335,7 +367,7 @@ impl Registry {
     ///
     /// [`adopt_counter`]: Registry::adopt_counter
     pub fn adopt_histogram(&self, name: &str, h: Arc<AtomicHistogram>) -> Arc<AtomicHistogram> {
-        match self.register(name, Metric::Histogram(h)) {
+        match self.register(name, "histogram", || Metric::Histogram(h)) {
             Metric::Histogram(h) => h,
             _ => unreachable!("register() panics on kind mismatch"),
         }
@@ -724,6 +756,43 @@ mod tests {
                 ("core.threshold".into(), MetricValue::Gauge(42)),
             ]
         );
+    }
+
+    #[test]
+    fn counter_store_reseeds_every_stripe() {
+        let c = Counter::new(4);
+        for cell in c.0.cells() {
+            cell.fetch_add(3, Ordering::Relaxed);
+        }
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| c.fetch_add(5, Ordering::Relaxed));
+            }
+        });
+        assert_eq!(c.load(Ordering::Relaxed), 4 + 3 * 8 + 4 * 5);
+        c.store(7, Ordering::Relaxed);
+        assert_eq!(c.load(Ordering::Relaxed), 7);
+        assert_eq!(
+            c.0.cells()
+                .filter(|cell| cell.load(Ordering::Relaxed) != 0)
+                .count(),
+            1,
+            "a stripe kept its pre-store count"
+        );
+        c.fetch_add(1, Ordering::Relaxed);
+        assert_eq!(c.load(Ordering::Relaxed), 8);
+    }
+
+    /// A lookup of a registered name finds it before building anything.
+    #[test]
+    fn a_registry_hit_builds_nothing() {
+        let r = Registry::new();
+        let c = r.counter("hit");
+        let again = r.register("hit", "counter", || panic!("built a metric on a hit"));
+        match again {
+            Metric::Counter(again) => assert!(Arc::ptr_eq(&c, &again)),
+            _ => panic!("kind changed"),
+        }
     }
 
     thread_local! {

@@ -4,10 +4,14 @@
 //! the elapsed time between request and response measured at the client,
 //! summarized as mean and P999, with a 20 ms P999 target. We record
 //! latencies in a log-bucketed histogram so millions of samples cost a
-//! fixed 1–2 KB, plus exact min/max/sum for the mean.
+//! fixed ≈ 10 KB of buckets (per recording thread stripe, for the
+//! shared [`AtomicHistogram`]), plus exact min/max/sum for the mean.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Duration;
+
+use crate::stripe::Striped;
 
 /// Number of sub-buckets per power of two (higher = finer resolution).
 const SUBBUCKETS_BITS: u32 = 5;
@@ -93,6 +97,11 @@ impl LatencyHistogram {
         self.count
     }
 
+    /// Sum of the recorded samples in nanoseconds.
+    pub fn sum_ns(&self) -> u128 {
+        self.sum_ns
+    }
+
     /// Mean latency in nanoseconds (0 when empty).
     pub fn mean_ns(&self) -> f64 {
         if self.count == 0 {
@@ -175,12 +184,24 @@ impl LatencyHistogram {
 /// A lock-free, shareable variant of [`LatencyHistogram`]: identical
 /// log-linear bucket layout, but every counter is an [`AtomicU64`] so
 /// concurrent recorders (shard executors, the coordinator's unsafe
-/// phase) can feed one histogram through `&self` without a mutex on the
-/// hot path. Readers take a relaxed-snapshot of the buckets — quantiles
-/// are monitoring data, not a linearizable view.
+/// phase, callers applying on their own threads) can feed one
+/// histogram through `&self` without a mutex on the hot path. The
+/// counters are per-thread stripes ([`Striped`]): a recorder writes
+/// only its own stripe's lines, and a reader merges the stripes into
+/// one relaxed snapshot — quantiles are monitoring data, not a
+/// linearizable view.
 #[derive(Debug)]
 pub struct AtomicHistogram {
-    buckets: Box<[AtomicU64]>,
+    stripes: Striped<HistogramStripe>,
+}
+
+/// One thread slot's share of an [`AtomicHistogram`]. Its buckets are
+/// allocated on the stripe's first sample: most histograms are fed by
+/// one or two threads, and eight eager bucket arrays per histogram
+/// would cost every server start their allocation and zeroing.
+#[derive(Debug)]
+struct HistogramStripe {
+    buckets: OnceLock<Box<[AtomicU64]>>,
     count: AtomicU64,
     sum_ns: AtomicU64,
     min_ns: AtomicU64,
@@ -197,11 +218,13 @@ impl AtomicHistogram {
     /// An empty histogram.
     pub fn new() -> Self {
         AtomicHistogram {
-            buckets: (0..NUM_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum_ns: AtomicU64::new(0),
-            min_ns: AtomicU64::new(u64::MAX),
-            max_ns: AtomicU64::new(0),
+            stripes: Striped::new(|| HistogramStripe {
+                buckets: OnceLock::new(),
+                count: AtomicU64::new(0),
+                sum_ns: AtomicU64::new(0),
+                min_ns: AtomicU64::new(u64::MAX),
+                max_ns: AtomicU64::new(0),
+            }),
         }
     }
 
@@ -211,37 +234,52 @@ impl AtomicHistogram {
         self.record_ns(d.as_nanos().min(u64::MAX as u128) as u64);
     }
 
-    /// Record a raw nanosecond sample.
+    /// Record a raw nanosecond sample into the calling thread's stripe.
+    /// The extremes are read first and written only when the sample
+    /// beats them, which after warm-up is almost never.
     #[inline]
     pub fn record_ns(&self, ns: u64) {
-        let idx = bucket_index(ns).min(self.buckets.len() - 1);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
-        self.min_ns.fetch_min(ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
+        let s = self.stripes.local();
+        let buckets = s
+            .buckets
+            .get_or_init(|| (0..NUM_BUCKETS).map(|_| AtomicU64::new(0)).collect());
+        buckets[bucket_index(ns).min(NUM_BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
+        s.count.fetch_add(1, Ordering::Relaxed);
+        s.sum_ns.fetch_add(ns, Ordering::Relaxed);
+        if ns < s.min_ns.load(Ordering::Relaxed) {
+            s.min_ns.fetch_min(ns, Ordering::Relaxed);
+        }
+        if ns > s.max_ns.load(Ordering::Relaxed) {
+            s.max_ns.fetch_max(ns, Ordering::Relaxed);
+        }
     }
 
-    /// A point-in-time (relaxed) copy as a [`LatencyHistogram`] — the
-    /// single implementation of quantiles/means/etc. serves both types,
-    /// so the two histograms cannot drift apart.
+    /// A point-in-time (relaxed) copy as a [`LatencyHistogram`], the
+    /// stripes merged — the single implementation of quantiles/means/
+    /// etc. serves both types, so the two histograms cannot drift
+    /// apart.
     pub fn snapshot(&self) -> LatencyHistogram {
-        LatencyHistogram {
-            buckets: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            count: self.count.load(Ordering::Relaxed),
-            sum_ns: self.sum_ns.load(Ordering::Relaxed) as u128,
-            min_ns: self.min_ns.load(Ordering::Relaxed),
-            max_ns: self.max_ns.load(Ordering::Relaxed),
+        let mut out = LatencyHistogram::new();
+        for s in self.stripes.cells() {
+            if let Some(buckets) = s.buckets.get() {
+                for (total, b) in out.buckets.iter_mut().zip(buckets.iter()) {
+                    *total += b.load(Ordering::Relaxed);
+                }
+            }
+            out.count += s.count.load(Ordering::Relaxed);
+            out.sum_ns += s.sum_ns.load(Ordering::Relaxed) as u128;
+            out.min_ns = out.min_ns.min(s.min_ns.load(Ordering::Relaxed));
+            out.max_ns = out.max_ns.max(s.max_ns.load(Ordering::Relaxed));
         }
+        out
     }
 
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.stripes
+            .cells()
+            .map(|s| s.count.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Mean latency in nanoseconds (0 when empty).
@@ -272,12 +310,20 @@ impl AtomicHistogram {
 
     /// Smallest recorded sample in nanoseconds (`u64::MAX` when empty).
     pub fn min_ns(&self) -> u64 {
-        self.min_ns.load(Ordering::Relaxed)
+        self.stripes
+            .cells()
+            .map(|s| s.min_ns.load(Ordering::Relaxed))
+            .min()
+            .unwrap_or(u64::MAX)
     }
 
     /// Largest recorded sample in nanoseconds.
     pub fn max_ns(&self) -> u64 {
-        self.max_ns.load(Ordering::Relaxed)
+        self.stripes
+            .cells()
+            .map(|s| s.max_ns.load(Ordering::Relaxed))
+            .max()
+            .unwrap_or(0)
     }
 }
 
@@ -449,6 +495,32 @@ mod tests {
         }
         assert_eq!(h.count(), 4_000);
         assert!(h.p50_ns() >= 1_000 && h.p999_ns() <= 3_000, "bad quantiles");
+    }
+
+    /// Four threads feed one striped histogram; its merged snapshot is
+    /// the histogram that one recorder fed the same samples would hold.
+    #[test]
+    fn striped_snapshot_equals_one_histogram_fed_the_same_samples() {
+        let samples =
+            |t: u64| (0..2_000u64).map(move |i| (t * 7_919 + i * 104_729) % 50_000_000 + t);
+        let striped = AtomicHistogram::new();
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let striped = &striped;
+                scope.spawn(move || samples(t).for_each(|ns| striped.record_ns(ns)));
+            }
+        });
+        let mut one = LatencyHistogram::new();
+        (0..4).flat_map(samples).for_each(|ns| one.record_ns(ns));
+        let merged = striped.snapshot();
+        assert_eq!(merged.buckets, one.buckets, "bucket for bucket");
+        assert_eq!(merged.count, one.count);
+        assert_eq!(merged.sum_ns, one.sum_ns);
+        assert_eq!(merged.min_ns, one.min_ns);
+        assert_eq!(merged.max_ns, one.max_ns);
+        assert_eq!(striped.count(), one.count());
+        assert_eq!(striped.min_ns(), one.min_ns());
+        assert_eq!(striped.max_ns(), one.max_ns());
     }
 
     #[test]

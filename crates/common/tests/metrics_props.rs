@@ -6,7 +6,9 @@
 //! instant. These properties drive randomized thread/op/name-collision
 //! mixes through that surface and check conservation — every increment
 //! lands exactly once, every registered name appears exactly once —
-//! rather than any particular interleaving.
+//! rather than any particular interleaving. Counters and histograms are
+//! per-thread stripes, so conservation also checks that the stripes
+//! fold back together: counts and sums add up, extremes survive.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -22,7 +24,9 @@ proptest! {
     /// Concurrent registration/update/snapshot: with `threads` writers
     /// hammering a shared name space (collisions guaranteed) plus
     /// thread-private names, interleaved with snapshots, the final
-    /// snapshot conserves every increment and lists every name once.
+    /// snapshot conserves every increment and lists every name once,
+    /// and the shared histogram's merged stripes hold every sample:
+    /// its count, sum, min and max.
     #[test]
     fn concurrent_registration_conserves_all_updates(
         threads in 1..6usize,
@@ -84,6 +88,11 @@ proptest! {
             _ => None,
         });
         prop_assert_eq!(hist_count, Some(total));
+        // Every thread recorded 1..=ops once.
+        let hist = r.histogram("hist.shared").snapshot();
+        prop_assert_eq!(hist.sum_ns(), threads as u128 * (ops as u128 * (ops as u128 + 1) / 2));
+        prop_assert_eq!(hist.min_ns(), 1);
+        prop_assert_eq!(hist.max_ns(), ops);
     }
 
     /// Ring wraparound keeps exactly the newest spans for any ring

@@ -27,8 +27,10 @@
 //! counters — is safe under disjoint-vertex concurrency and the
 //! sequential push mode never shares the worker pool.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use parking_lot::RwLock;
 use risgraph_algorithms::Monotonic;
@@ -133,22 +135,32 @@ impl ChangeSet {
 }
 
 /// Wall-time and count statistics, feeding Figure 11b's breakdown.
+///
+/// Every field is a per-thread-striped [`Counter`], so concurrent
+/// safe-path callers share no line here. The safe path's timings are
+/// **sampled**: a safe-path call costs about as much as the two clock
+/// readings that would time it, so each thread times its first
+/// classification and its first safe application and every
+/// `SAFE_TIMING_SAMPLE`-th (64th) one after, adding the span × 64. The
+/// totals estimate the same sums, and Figure 11b's shares hold. The
+/// unsafe path costs microseconds, so it stays exactly timed.
 #[derive(Debug, Default)]
 pub struct EngineStats {
     /// Updates applied through the unsafe path.
-    pub unsafe_applied: AtomicU64,
+    pub unsafe_applied: Counter,
     /// Updates applied through the safe path.
-    pub safe_applied: AtomicU64,
+    pub safe_applied: Counter,
     /// Safe applications demoted at revalidation.
-    pub demoted: AtomicU64,
-    /// Nanoseconds in the graph updating engine (structure mutation).
-    pub update_ns: AtomicU64,
+    pub demoted: Counter,
+    /// Nanoseconds in the graph updating engine (structure mutation);
+    /// the safe path's share is sampled.
+    pub update_ns: Counter,
     /// Nanoseconds in the graph computing engine (propagation).
-    pub compute_ns: AtomicU64,
-    /// Nanoseconds classifying updates (the CC module).
-    pub classify_ns: AtomicU64,
+    pub compute_ns: Counter,
+    /// Nanoseconds classifying updates (the CC module); sampled.
+    pub classify_ns: Counter,
     /// Edges relaxed by propagation.
-    pub edges_relaxed: AtomicU64,
+    pub edges_relaxed: Counter,
     /// Propagations whose sequential stage spent its edge budget
     /// (`PushConfig::sequential_grain`) and handed the rest of the
     /// worklist to the parallel modes. A registry handle so the server
@@ -157,9 +169,42 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    fn add(counter: &AtomicU64, v: u64) {
+    fn add(counter: &Counter, v: u64) {
         counter.fetch_add(v, Ordering::Relaxed);
     }
+
+    /// Add the sampled span `from..to` (see [`sample_start`]), scaled
+    /// to the calls it stands for.
+    fn add_sampled(counter: &Counter, from: Instant, to: Instant) {
+        let ns = to.duration_since(from).as_nanos() as u64;
+        Self::add(counter, ns * u64::from(SAFE_TIMING_SAMPLE));
+    }
+}
+
+/// A safe-path call is timed once per this many calls per thread.
+const SAFE_TIMING_SAMPLE: u32 = 64;
+
+/// The safe-path calls [`sample_start`] counts, one tally each.
+#[derive(Clone, Copy)]
+enum Sampled {
+    Classify = 0,
+    SafeApply = 1,
+}
+
+thread_local! {
+    /// Per-thread calls of each [`Sampled`] kind so far.
+    static SAFE_CALLS: [Cell<u32>; 2] = const { [Cell::new(0), Cell::new(0)] };
+}
+
+/// The clock, on this thread's first call of `kind` and every
+/// [`SAFE_TIMING_SAMPLE`]-th after it; `None` otherwise.
+#[inline]
+fn sample_start(kind: Sampled) -> Option<Instant> {
+    SAFE_CALLS.with(|calls| {
+        let n = calls[kind as usize].get();
+        calls[kind as usize].set(n.wrapping_add(1));
+        (n % SAFE_TIMING_SAMPLE == 0).then(Instant::now)
+    })
 }
 
 struct AlgoState {
@@ -434,7 +479,7 @@ impl<G: DynamicGraph> Engine<G> {
     /// algorithm; an insertion is safe when it improves no destination
     /// under any algorithm. O(#algorithms), no scanning.
     pub fn classify(&self, u: &Update) -> Safety {
-        let t0 = std::time::Instant::now();
+        let t0 = sample_start(Sampled::Classify);
         let st = self.state.read();
         let safety = match u {
             Update::InsVertex(_) | Update::DelVertex(_) => Safety::Safe,
@@ -465,7 +510,9 @@ impl<G: DynamicGraph> Engine<G> {
                 }
             }
         };
-        EngineStats::add(&self.stats.classify_ns, t0.elapsed().as_nanos() as u64);
+        if let Some(t0) = t0 {
+            EngineStats::add_sampled(&self.stats.classify_ns, t0, Instant::now());
+        }
         safety
     }
 
@@ -504,56 +551,89 @@ impl<G: DynamicGraph> Engine<G> {
     /// reproduces the cross-shard application order exactly, closing
     /// the same-edge count-race linearization caveat. Returns the stamp
     /// (`None` when nothing was applied).
+    ///
+    /// The check and apply are [`Self::try_apply_safe_inline`]'s; an
+    /// update it refuses counts as a demotion here, because the caller
+    /// classified it safe earlier. The insert test's sampled span goes
+    /// to `classify_ns`, as the inline path's does.
     pub fn try_apply_safe_seq(
         &self,
         u: &Update,
         seq: &AtomicU64,
     ) -> Result<(SafeApply, Option<u64>)> {
-        let t0 = std::time::Instant::now();
+        // A bound of 0 skips the capacity check: `classify` already
+        // judged ids past capacity, and the store answers them itself.
+        match self.try_apply_safe_inline(u, 0, seq)? {
+            Some(stamp) => Ok((SafeApply::Applied, Some(stamp))),
+            None => {
+                EngineStats::add(&self.stats.demoted, 1);
+                Ok((SafeApply::Demoted, None))
+            }
+        }
+    }
+
+    /// Classify and apply in one step, as a synchronous session does
+    /// for an update on its own thread: under one read of the engine
+    /// state, check that ids below `bound` are addressable, run §4's
+    /// test on the live state — it doubles as the revalidation, because
+    /// the test and the apply see one state — and, if the update is
+    /// safe, apply it and draw its stamp from `seq` inside the store's
+    /// synchronization (see [`Self::try_apply_safe_seq`]). `Ok(None)`:
+    /// not applied, because the engine must grow first or the update is
+    /// not safe; the caller routes it to the unsafe path. No demotion is
+    /// counted — nothing was classified safe beforehand.
+    pub fn try_apply_safe_inline(
+        &self,
+        u: &Update,
+        bound: u64,
+        seq: &AtomicU64,
+    ) -> Result<Option<u64>> {
+        let t0 = sample_start(Sampled::SafeApply);
         let st = self.state.read();
-        let (outcome, stamp) = match u {
-            Update::InsVertex(v) => {
-                let stamp = st.store.insert_vertex_seq(*v, seq)?;
-                (SafeApply::Applied, Some(stamp))
-            }
-            Update::DelVertex(v) => {
-                let stamp = st.store.delete_vertex_seq(*v, seq)?;
-                (SafeApply::Applied, Some(stamp))
-            }
+        if bound as usize > st.store.capacity() {
+            return Ok(None);
+        }
+        // When sampled, the insert test's span is the CC module's.
+        let mut checked = None;
+        let stamp = match u {
+            Update::InsVertex(v) => Some(st.store.insert_vertex_seq(*v, seq)?),
+            Update::DelVertex(v) => Some(st.store.delete_vertex_seq(*v, seq)?),
             Update::InsEdge(e) => {
-                // Values are frozen during the safe phase, so the
-                // improvement check is stable; only re-check it in case
-                // classification happened in an earlier epoch.
-                if st.algos.iter().all(|a| Self::insert_is_safe(a, *e)) {
-                    let (_, stamp) = st.store.insert_edge_seq(*e, seq)?;
-                    (SafeApply::Applied, Some(stamp))
+                let safe = st.algos.iter().all(|a| Self::insert_is_safe(a, *e));
+                if t0.is_some() {
+                    checked = Some(Instant::now());
+                }
+                if safe {
+                    Some(st.store.insert_edge_seq(*e, seq)?.1)
                 } else {
-                    (SafeApply::Demoted, None)
+                    None
                 }
             }
             Update::DelEdge(e) => {
-                // Count-dependent safety must be revalidated atomically:
-                // a concurrent safe delete may consume the last
-                // duplicate.
+                // The count test runs under the store's own lock, so a
+                // concurrent delete cannot consume the last duplicate
+                // between the test and the removal.
                 let algos = &st.algos;
-                match st.store.delete_edge_if_seq(
-                    *e,
-                    &mut |count| {
-                        count > 1 || !algos.iter().any(|a| Self::delete_touches_tree(a, *e))
-                    },
-                    seq,
-                )? {
-                    Some((_, stamp)) => (SafeApply::Applied, Some(stamp)),
-                    None => (SafeApply::Demoted, None),
-                }
+                st.store
+                    .delete_edge_if_seq(
+                        *e,
+                        &mut |count| {
+                            count > 1 || !algos.iter().any(|a| Self::delete_touches_tree(a, *e))
+                        },
+                        seq,
+                    )?
+                    .map(|(_, stamp)| stamp)
             }
         };
-        match outcome {
-            SafeApply::Applied => EngineStats::add(&self.stats.safe_applied, 1),
-            SafeApply::Demoted => EngineStats::add(&self.stats.demoted, 1),
+        if stamp.is_some() {
+            EngineStats::add(&self.stats.safe_applied, 1);
         }
-        EngineStats::add(&self.stats.update_ns, t0.elapsed().as_nanos() as u64);
-        Ok((outcome, stamp))
+        if let Some(t0) = t0 {
+            let checked = checked.unwrap_or(t0);
+            EngineStats::add_sampled(&self.stats.classify_ns, t0, checked);
+            EngineStats::add_sampled(&self.stats.update_ns, checked, Instant::now());
+        }
+        Ok(stamp)
     }
 
     // ------------------------------------------------------------------
@@ -587,7 +667,7 @@ impl<G: DynamicGraph> Engine<G> {
     fn apply_unsafe_inner(&self, u: &Update, push: &PushConfig) -> Result<ChangeSet> {
         let st = self.state.read();
         let epoch = self.next_epoch();
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         // `Some` when the algorithms ran: their change lists, collected
         // straight into place.
         let mut per_algo = None;
@@ -603,7 +683,7 @@ impl<G: DynamicGraph> Engine<G> {
             Update::InsEdge(e) => {
                 st.store.insert_edge(*e)?;
                 EngineStats::add(&self.stats.update_ns, t0.elapsed().as_nanos() as u64);
-                let tc = std::time::Instant::now();
+                let tc = Instant::now();
                 per_algo = Some(
                     st.algos
                         .iter()
@@ -616,7 +696,7 @@ impl<G: DynamicGraph> Engine<G> {
                 let outcome = st.store.delete_edge(*e)?;
                 EngineStats::add(&self.stats.update_ns, t0.elapsed().as_nanos() as u64);
                 if outcome == DeleteOutcome::Removed {
-                    let tc = std::time::Instant::now();
+                    let tc = Instant::now();
                     per_algo = Some(
                         st.algos
                             .iter()

@@ -11,9 +11,12 @@
 //!   unsafe updates are excluded). A synchronous session classifies its
 //!   single update on the calling thread and, if it is safe, applies it
 //!   there under the shared side of the store's gate, takes its version
-//!   and stamps it into one inline log, then replies — no hand-off to the
-//!   coordinator. Everything else is routed to the coordinator: unsafe,
-//!   demoted or multi-update ops, ops that need the engine to grow or
+//!   and stamps it into its thread's stripe of the inline log, then
+//!   replies — no hand-off to the coordinator, and no shared write but
+//!   the gate, the engine-state lock, the stamp and the version
+//!   (counters and histograms are per-thread stripes). Everything else
+//!   is routed to the coordinator: unsafe or
+//!   multi-update ops, ops that need the engine to grow or
 //!   find the gate held, tagged (pipelined, network) submissions, and
 //!   anything after shutdown or a failed log write.
 //! * The **coordinator thread** runs epoch loops: it gathers routed
@@ -21,7 +24,7 @@
 //!   first unsafe update — everything behind it is *next-epoch*, §4),
 //!   executes all safe updates **in parallel across shards**, then
 //!   *cuts*: it takes the gate's exclusive side, so no caller is
-//!   mid-apply, folds the inline log into the epoch's safe log, runs the
+//!   mid-apply, folds the inline log's stripes into the epoch's safe log, runs the
 //!   epoch's multi-update safe transactions (a rollback must never run
 //!   beside another applier), then executes unsafe updates **one by
 //!   one** (each internally parallel), consulting the [`Scheduler`] to
@@ -102,6 +105,7 @@ use risgraph_common::metrics::{
     slow_epoch_threshold_from_env, Counter, EpochTracer, Gauge, Phase, Registry, PHASE_COUNT,
 };
 use risgraph_common::stats::AtomicHistogram;
+use risgraph_common::stripe::Striped;
 use risgraph_common::{Error, Result};
 use risgraph_storage::{AnyStore, BackendKind, DynamicGraph};
 
@@ -618,10 +622,12 @@ struct Shared {
     seq: AtomicU64,
     /// What synchronous callers applied on their own threads since the
     /// last cut (see [`Session`]): each update with its stamp, and the
-    /// op and scheduler counts. Pushed to under the gate's shared side
+    /// op and scheduler counts. One log per thread stripe, so callers
+    /// on different threads take different locks on different lines;
+    /// the cut walks them all. Pushed to under the gate's shared side
     /// and drained under its exclusive side, so a cut never separates
     /// an apply from its version or from its entry here.
-    inline_log: Mutex<SafeOutcome>,
+    inline_log: Striped<Mutex<SafeOutcome>>,
     /// Whether epochs become records — a WAL or a replication feed is
     /// on. Without either, callers log only counts (the updates would be
     /// written nowhere), and a cut with no unsafe work and no
@@ -758,7 +764,7 @@ impl Server {
             released: Mutex::new(FxHashMap::default()),
             next_session: AtomicU64::new(0),
             seq: AtomicU64::new(0),
-            inline_log: Mutex::new(SafeOutcome::default()),
+            inline_log: Striped::new(|| Mutex::new(SafeOutcome::default())),
             records: wal.is_some() || feed.is_some(),
             latency_limit: config.scheduler.latency_limit,
             write_stopped: AtomicBool::new(false),
@@ -947,16 +953,18 @@ impl Drop for Server {
 ///   thread**, and a safe one is applied there too (§4: safe updates
 ///   change no result, so they commute with each other and may run
 ///   anywhere that unsafe ones are excluded): under the shared side of
-///   the store's gate the caller revalidates and applies it, takes its
-///   version and stamps it into the server's inline log, which the
-///   coordinator's next *cut* — the gate's exclusive side, once per
-///   epoch — folds into that epoch's WAL record and feed record ahead
-///   of the unsafe phase. Nothing is handed to the coordinator and
-///   nothing comes back; `core.safe_inline` counts these updates.
-///   Everything else is *routed* through the coordinator as before: an
-///   unsafe or demoted update, a transaction, an update that needs the
-///   engine to grow, one that finds the gate held, and anything after
-///   shutdown or a failed log write. A routed op's wait is
+///   the store's gate the caller classifies and applies it in one
+///   engine call ([`Engine::try_apply_safe_inline`]), takes its
+///   version and stamps it into its thread stripe of the server's
+///   inline log, which the coordinator's next *cut* — the gate's
+///   exclusive side, once per epoch — folds into that epoch's WAL
+///   record and feed record ahead of the unsafe phase. Nothing is
+///   handed to the coordinator and nothing comes back;
+///   `core.safe_inline` counts these updates. Everything else is
+///   *routed* through the coordinator as before: an unsafe update, a
+///   transaction, an update that needs the engine to grow, one that
+///   finds the gate held, and anything after shutdown or a failed log
+///   write. A routed op's wait is
 ///   spin-then-park on the calling thread: it probes the reply channel
 ///   (lock-free, yielding every 64 probes) for at most
 ///   [`SYNC_REPLY_SPIN`] before it sleeps. Waits that outlast the spin
@@ -1031,18 +1039,16 @@ impl Session {
         }
     }
 
-    /// Classify `u` and, if it is safe, apply it on this thread (see the
-    /// type docs). `None` routes it: it is not safe, demoted on
-    /// revalidation, needs growth, or the gate is held or the write
-    /// path closed.
+    /// Apply `u` on this thread if it is safe (see the type docs): one
+    /// engine call classifies and applies it under one read of the
+    /// engine state. `None` routes it: it is not safe, needs growth, or
+    /// the gate is held or the write path closed. The clock is read
+    /// twice — on entry and once the reply is ready — and that one span
+    /// is both the scheduler's latency sample and `update_latency`'s.
     fn apply_inline(&self, u: &Update) -> Option<Reply> {
         let start = Instant::now();
         let shared = &*self.shared;
         let versioned = &shared.versioned;
-        let engine = versioned.engine();
-        if vertex_bound([u]) as usize > engine.capacity() {
-            return None;
-        }
         let _gate = versioned.try_shared()?;
         // Read under the gate: the final cut, taken after the shutdown
         // flag is raised, sees every update applied before it and none
@@ -1050,44 +1056,45 @@ impl Session {
         if shared.shutdown.load(Ordering::Acquire) || shared.write_stopped.load(Ordering::Acquire) {
             return None;
         }
-        if engine.classify(u) != Safety::Safe {
-            return None;
-        }
-        let reply = match engine.try_apply_safe_seq(u, &shared.seq) {
-            Ok((SafeApply::Applied, stamp)) => {
-                let version = versioned.advance(1);
-                let mut log = shared.inline_log.lock();
-                if shared.records {
-                    log.applied
-                        .push((stamp.expect("applied updates are stamped"), *u));
-                }
-                log.applied_ops += 1;
-                log.total += 1;
-                log.qualified += u64::from(start.elapsed() <= shared.latency_limit);
-                drop(log);
-                shared.stats.safe_executed.fetch_add(1, Ordering::Relaxed);
-                shared.stats.safe_inline.fetch_add(1, Ordering::Relaxed);
-                Reply {
-                    version,
+        let applied = versioned
+            .engine()
+            .try_apply_safe_inline(u, vertex_bound([u]), &shared.seq);
+        let (reply, stamp) = match applied {
+            Ok(None) => return None,
+            Ok(Some(stamp)) => {
+                let reply = Reply {
+                    version: versioned.advance(1),
                     outcome: Ok(Applied {
                         safety: Safety::Safe,
                         result_changes: 0,
                     }),
-                }
-            }
-            Ok((SafeApply::Demoted, _)) => {
-                shared.stats.demotions.fetch_add(1, Ordering::Relaxed);
-                return None;
+                };
+                (reply, Some(stamp))
             }
             Err(e) => {
-                shared.inline_log.lock().total += 1;
-                Reply {
+                let reply = Reply {
                     version: versioned.current_version(),
                     outcome: Err(e),
-                }
+                };
+                (reply, None)
             }
         };
-        shared.stats.update_latency.record(start.elapsed());
+        let latency = start.elapsed();
+        let mut log = shared.inline_log.local().lock();
+        log.total += 1;
+        if let Some(stamp) = stamp {
+            if shared.records {
+                log.applied.push((stamp, *u));
+            }
+            log.applied_ops += 1;
+            log.qualified += u64::from(latency <= shared.latency_limit);
+        }
+        drop(log);
+        if stamp.is_some() {
+            shared.stats.safe_executed.fetch_add(1, Ordering::Relaxed);
+            shared.stats.safe_inline.fetch_add(1, Ordering::Relaxed);
+        }
+        shared.stats.update_latency.record(latency);
         Some(reply)
     }
 
@@ -1431,6 +1438,10 @@ fn run_epochs(
     // Set by the first failed append or fsync: from then on nothing
     // executes, and every gathered update is refused with it.
     let mut wal_failure: Option<String> = None;
+    // The epoch ordinal the tracer records: this loop's own count, so
+    // the traced epochs are dense and increasing whatever reads or
+    // re-seeds the `core.epochs` counter beside it.
+    let mut epoch_no: u64 = 0;
     shared
         .stats
         .threshold
@@ -1567,9 +1578,12 @@ fn run_epochs(
         // cut only collects the callers' counts.
         let exclude = shared.records || !buf.unsafe_queue.is_empty() || !safe.deferred.is_empty();
         let gate = exclude.then(|| shared.versioned.exclusive());
-        let inline = std::mem::take(&mut *shared.inline_log.lock());
-        let cut_inline = inline.total;
-        safe.absorb(inline);
+        let mut cut_inline = 0;
+        for log in shared.inline_log.cells() {
+            let inline = std::mem::take(&mut *log.lock());
+            cut_inline += inline.total;
+            safe.absorb(inline);
+        }
         if !safe.deferred.is_empty() {
             // Multi-update safe transactions, after the fork-join and
             // with callers shut out: nothing can rely on what a
@@ -1746,7 +1760,8 @@ fn run_epochs(
             .stats
             .min_threshold
             .fetch_min(scheduler.threshold() as u64, Ordering::Relaxed);
-        let epoch_no = shared.stats.epochs.fetch_add(1, Ordering::Relaxed) + 1;
+        epoch_no += 1;
+        shared.stats.epochs.fetch_add(1, Ordering::Relaxed);
         shared
             .stats
             .max_epoch_ns
@@ -1819,7 +1834,7 @@ fn inline_pending(shared: &Shared, settled: bool) -> bool {
         return false;
     }
     let _gate = settled.then(|| shared.versioned.exclusive());
-    shared.inline_log.lock().total > 0
+    shared.inline_log.cells().any(|log| log.lock().total > 0)
 }
 
 /// Stop the write path after a failed append or fsync: count it, and

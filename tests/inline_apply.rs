@@ -12,12 +12,16 @@
 //! * Under a shutdown that lands mid-traffic, every update that was
 //!   acknowledged is in the log, in its session's order, and nothing
 //!   else is.
+//! * A delete that §4's count test refuses on the caller's thread
+//!   routes to the coordinator without counting a demotion, and every
+//!   update — inline or routed — is
+//!   counted and sampled exactly once.
 //!
 //! Determinism protocol as in the other differential suites: disjoint
 //! per-session vertex regions and one engine worker thread on both
 //! sides, so dependency-tree parents are comparable.
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -312,4 +316,135 @@ fn shutdown_under_load_logs_every_acknowledged_update() {
         );
     }
     remove_wal(&path);
+}
+
+/// Two synchronous sessions race to delete the two copies of a WCC
+/// tree edge. Each delete may find a spare copy when it looks, but only
+/// one can take it: the other is refused by §4's count test and routes
+/// to the coordinator, which deletes the last copy on the unsafe path.
+/// No demotion is counted for the refusal — the test and the apply are
+/// one check on the caller's thread — and every delete is served once.
+#[test]
+fn a_refused_revalidation_routes_without_a_demotion() {
+    const ROUNDS: u64 = 400;
+    // No WAL and no feed: a cut then takes the gate only for unsafe
+    // work, and none is in flight while a round's deletes race.
+    let config = ServerConfig {
+        max_followers: 0,
+        ..server_config(BackendKind::IaHash, 1)
+    };
+    let server = Server::start(wcc_algorithms(), 2 * ROUNDS as usize, config).expect("server");
+    let stats = server.stats();
+    // Round `r`'s copies are in once `ready` reads `r + 1`. Both
+    // threads spin on it, so their deletes start within a cache-line
+    // transfer of each other. A round starts once both deletes of the
+    // last one are answered (`done`), so no cut holds the gate and
+    // each delete meets the other on the caller's thread.
+    let ready = AtomicU64::new(0);
+    let done = AtomicU64::new(0);
+    let safe_deletes: u64 = std::thread::scope(|scope| {
+        let drivers: Vec<_> = (0..2)
+            .map(|t| {
+                let session = server.session();
+                let (ready, done) = (&ready, &done);
+                scope.spawn(move || {
+                    let mut safe = 0u64;
+                    for r in 0..ROUNDS {
+                        let e = Edge::new(2 * r, 2 * r + 1, 1);
+                        if t == 0 {
+                            while done.load(Ordering::Acquire) < 2 * r {
+                                std::hint::spin_loop();
+                            }
+                            // The first copy joins two components
+                            // (unsafe); the second changes nothing.
+                            for _ in 0..2 {
+                                session
+                                    .submit_update(&Update::InsEdge(e))
+                                    .outcome
+                                    .expect("insert");
+                            }
+                            ready.store(r + 1, Ordering::Release);
+                        }
+                        while ready.load(Ordering::Acquire) <= r {
+                            std::hint::spin_loop();
+                        }
+                        let del = session
+                            .submit_update(&Update::DelEdge(e))
+                            .outcome
+                            .expect("delete");
+                        safe += u64::from(del.safety == Safety::Safe);
+                        done.fetch_add(1, Ordering::Release);
+                    }
+                    safe
+                })
+            })
+            .collect();
+        drivers.into_iter().map(|d| d.join().unwrap()).sum()
+    });
+
+    // Of each round's two deletes, one took the spare copy safely and
+    // the other cut the tree edge on the unsafe path.
+    assert_eq!(safe_deletes, ROUNDS, "one safe delete per round");
+    assert_eq!(stats.demotions.load(Ordering::Relaxed), 0, "demotions");
+    let inline = stats.safe_inline.load(Ordering::Relaxed);
+    let routed_safe = stats.safe_executed.load(Ordering::Relaxed) - inline;
+    let routed_unsafe = stats.unsafe_executed.load(Ordering::Relaxed);
+    // Per round: two inserts (one unsafe, one safe) and two deletes.
+    assert_eq!(routed_unsafe, 2 * ROUNDS, "unsafe joins and cuts");
+    assert_eq!(
+        inline + routed_safe + routed_unsafe,
+        4 * ROUNDS,
+        "inline + routed"
+    );
+    server.shutdown();
+}
+
+/// Two threads each submit N synchronous updates, safe and unsafe
+/// mixed. Each update is one latency sample, whichever path served it,
+/// and the inline updates plus the routed ones are all 2N.
+#[test]
+fn every_update_is_counted_once_on_either_path() {
+    let cfg = RegionStreamConfig {
+        sessions: 2,
+        region: 24,
+        steps: 3_000,
+        seed: 41,
+        ..RegionStreamConfig::default()
+    };
+    let server = Server::start(
+        wcc_algorithms(),
+        cfg.capacity(),
+        server_config(BackendKind::IaHash, 2),
+    )
+    .expect("server");
+    let streams = disjoint_session_streams(&cfg);
+    let unsafe_replies: u64 = std::thread::scope(|scope| {
+        let drivers: Vec<_> = streams
+            .iter()
+            .map(|stream| {
+                let session = server.session();
+                scope.spawn(move || {
+                    let mut unsafe_replies = 0u64;
+                    for u in stream {
+                        let applied = session.submit_update(u).outcome.expect("valid update");
+                        unsafe_replies += u64::from(applied.safety == Safety::Unsafe);
+                    }
+                    unsafe_replies
+                })
+            })
+            .collect();
+        drivers.into_iter().map(|d| d.join().unwrap()).sum()
+    });
+
+    let n = (cfg.sessions * cfg.steps) as u64;
+    let stats = server.stats();
+    let inline = stats.safe_inline.load(Ordering::Relaxed);
+    let routed_safe = stats.safe_executed.load(Ordering::Relaxed) - inline;
+    let routed_unsafe = stats.unsafe_executed.load(Ordering::Relaxed);
+    assert!(inline > 0, "nothing applied inline");
+    assert!(unsafe_replies > 0, "the stream has no unsafe update");
+    assert_eq!(routed_unsafe, unsafe_replies, "unsafe updates executed");
+    assert_eq!(inline + routed_safe + routed_unsafe, n, "inline + routed");
+    assert_eq!(stats.update_latency.count(), n, "latency samples");
+    server.shutdown();
 }
